@@ -128,13 +128,29 @@ class Value:
 
 
 class Tape:
-    """Flat record of Values in construction order."""
+    """Flat record of Values in construction order; as a context manager
+    it is released on exit (a throwaway tape for eval-mode code)."""
 
     def __init__(self):
         self._nodes: list[Value] = []
 
     def __len__(self):
         return len(self._nodes)
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Drop a finished graph: its nodes, tape and vjp closures form
+        reference cycles that only the cyclic collector would free.  Values
+        keep their ``data``; the tape must not be used afterwards."""
+        for node in self._nodes:
+            node._parents = ()
+            node._vjps = ()
+        self._nodes = []
 
     def _append(self, value: Value) -> None:
         value._idx = len(self._nodes)

@@ -15,6 +15,7 @@ eval uses the seed for negative pooling.
 from __future__ import annotations
 
 import argparse
+import struct
 import sys
 import time
 from pathlib import Path
@@ -36,8 +37,9 @@ from .sequences import (
 
 __all__ = ["main"]
 
-_ERRORS = (ValueError, KeyError, OSError, CorpusFormatError, TrainingDivergedError,
-           DomainError, VanishingGradientError)
+# struct.error: a truncated binary artifact (checkpoint, vectors, encoder, index)
+_ERRORS = (ValueError, KeyError, OSError, struct.error, CorpusFormatError,
+           TrainingDivergedError, DomainError, VanishingGradientError)
 
 
 def _parse_range(text: str, cast, parts: int = 2):
@@ -102,8 +104,6 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
 def _shared(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
     parser.add_argument("--config", help="key=value file of flag defaults")
     parser.add_argument("--seed", type=int, default=0, help="root seed of this command")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for corpus vector extraction")
     parser.add_argument("--out", required=out_required, help="output directory")
 
 
@@ -272,8 +272,7 @@ def _run_index(args) -> int:
     if params.config.variant != "self":
         raise ValueError("indexing needs a self-variant checkpoint")
     corpus = load_corpus(args.corpus, mark_count=params.config.mark_count)
-    config = retrieval.PipelineConfig(hash=_hash_config(args),
-                                      encoder_kind=args.encoder, threads=args.threads)
+    config = retrieval.PipelineConfig(hash=_hash_config(args), encoder_kind=args.encoder)
     pipeline = retrieval.build_pipeline(corpus, params, unwarp, params, unwarp, config)
     out = _out_dir(args)
     retrieval.save_vectors(out / "vectors.bin", pipeline.vectors)
@@ -315,7 +314,7 @@ def _load_pipeline(args) -> retrieval.Pipeline:
                          f"the corpus, first {missing[0]!r}")
     scoreable = {cid: corpus[cid] for cid in index.corpus_ids}
     excluded = [cid for cid in corpus if cid not in scoreable]
-    config = retrieval.PipelineConfig(gamma=args.gamma, threads=args.threads)
+    config = retrieval.PipelineConfig(gamma=args.gamma)
     return retrieval.Pipeline(corpus=scoreable, score_params=score_params,
                               score_unwarp=score_unwarp, index_params=index_params,
                               index_unwarp=index_unwarp, encoder=encoder, index=index,

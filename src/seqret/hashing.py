@@ -197,14 +197,14 @@ def train_hash_net(vectors: np.ndarray, config: HashConfig) -> tuple[HashNetPara
     state = AdamState()
     curve: list[dict[str, float]] = []
     for epoch in range(config.epochs):
-        tape = Tape()
-        leaves = psi.leaves(tape)
-        total, terms = hash_training_loss(tape, leaves, vectors, config.etas)
-        grads = tape.backward(total)
-        adam_update(psi.arrays, {n: grads[leaves[n]] for n in psi.NAMES}, state,
-                    lr=config.learning_rate)
-        curve.append({"epoch": float(epoch), "loss": total.item(),
-                      **{k: v.item() for k, v in terms.items()}})
+        with Tape() as tape:
+            leaves = psi.leaves(tape)
+            total, terms = hash_training_loss(tape, leaves, vectors, config.etas)
+            grads = tape.backward(total)
+            adam_update(psi.arrays, {n: grads[leaves[n]] for n in psi.NAMES}, state,
+                        lr=config.learning_rate)
+            curve.append({"epoch": float(epoch), "loss": total.item(),
+                          **{k: v.item() for k, v in terms.items()}})
     return psi, curve
 
 

@@ -47,17 +47,10 @@ from .unwarp import UnwarpConfig, UnwarpParams
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "EncodedState",
     "SequenceLengthError",
     "param_order",
-    "embed_events",
-    "encode_self",
-    "encode_cross",
-    "time_log_density",
-    "mark_log_prob",
     "sequence_log_likelihood",
     "grad_log_likelihood",
-    "sample_next_event",
     "log_likelihood_graph",
     "flatten_grad_values",
     "save_checkpoint",
@@ -162,21 +155,6 @@ class ModelParams:
         return {name: tape.leaf(self.arrays[name], f"theta.{name}") for name, _ in param_order(self.config)}
 
 
-@dataclass
-class EncodedState:
-    """Per-prefix conditioning states of one scored sequence.
-
-    ``states`` row k (k = 0..n-1) conditions event k+1 and equals the
-    output-layer sum over the first k events (row 0 is the learned start
-    vector).  ``final`` is the full-prefix state used to extend the
-    sequence; ``context`` holds the raw attention outputs h_j.
-    """
-
-    states: ad.Value
-    final: ad.Value
-    context: ad.Value
-
-
 def _check_length(n: int, config: ModelConfig, what: str) -> None:
     if n == 0:
         raise ValueError(f"{what}: empty sequences cannot be scored")
@@ -224,7 +202,12 @@ def _attention_graph(tape, theta, config: ModelConfig, y_scored: ad.Value,
     return stream
 
 
-def _states_graph(tape, theta, config: ModelConfig, context: ad.Value) -> EncodedState:
+def _states_graph(tape, theta, config: ModelConfig, context: ad.Value) -> ad.Value:
+    """Per-prefix conditioning states from the attention outputs h_j.
+
+    Row k (k = 0..n-1) conditions event k+1 and equals the output-layer
+    sum over the first k events (row 0 is the learned start vector).
+    """
     n = context.data.shape[0]
     f = ad.add(
         ad.mul(theta["w_out"], ad.relu(ad.add(ad.mul(context, theta["w_ff"]), theta["b_ff"]))),
@@ -236,13 +219,11 @@ def _states_graph(tape, theta, config: ModelConfig, context: ad.Value) -> Encode
     shifted = ad.matmul(tape.constant(shift), f)
     first = np.zeros((n, 1))
     first[0, 0] = 1.0
-    states = ad.add(shifted, ad.matmul(tape.constant(first), ad.reshape(theta["start"], (1, -1))))
-    final = ad.vsum(f, axis=0)
-    return EncodedState(states=states, final=final, context=context)
+    return ad.add(shifted, ad.matmul(tape.constant(first), ad.reshape(theta["start"], (1, -1))))
 
 
 def _encode_graph(tape, theta, config: ModelConfig, times, gaps, marks,
-                  cond_times=None, cond_gaps=None, cond_marks=None) -> EncodedState:
+                  cond_times=None, cond_gaps=None, cond_marks=None) -> ad.Value:
     y = _embed_graph(tape, theta, config, times, gaps, marks)
     if config.variant == "cross":
         if cond_marks is None:
@@ -270,11 +251,11 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
     if cond_marks is not None:
         cond_marks = np.asarray(cond_marks, dtype=np.int64)
         cond_gaps = _gaps_graph(tape, cond_times)
-    enc = _encode_graph(tape, theta, config, times, gaps, marks,
-                        cond_times=cond_times, cond_gaps=cond_gaps, cond_marks=cond_marks)
+    states = _encode_graph(tape, theta, config, times, gaps, marks,
+                           cond_times=cond_times, cond_gaps=cond_gaps, cond_marks=cond_marks)
     n, c = len(marks), config.mark_count
 
-    head = ad.add(ad.matmul(enc.states, ad.transpose(theta["W_time_head"])), theta["b_time_head"])
+    head = ad.add(ad.matmul(states, ad.transpose(theta["W_time_head"])), theta["b_time_head"])
     mu = ad.matvec(head, tape.constant(np.array([1.0, 0.0])))
     log_sigma = ad.matvec(head, tape.constant(np.array([0.0, 1.0])))
     sigma = ad.exp(log_sigma)
@@ -285,7 +266,7 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
         ad.add(0.5 * LOG_2PI, ad.div(ad.square(dev), ad.mul(2.0, ad.square(sigma)))),
     )
 
-    logits = ad.add(ad.matmul(enc.states, ad.transpose(theta["W_mark_head"])), theta["b_mark_head"])
+    logits = ad.add(ad.matmul(states, ad.transpose(theta["W_mark_head"])), theta["b_mark_head"])
     onehot = np.eye(c)[marks]
     picked = ad.vsum(ad.mul(logits, tape.constant(onehot)), axis=1)
     mark_terms = ad.sub(picked, ad.logsumexp(logits, axis=-1))
@@ -299,58 +280,6 @@ def flatten_grad_values(tape: ad.Tape, grads: dict[str, ad.Value], config: Model
 
 
 # -- public eval-mode surface ------------------------------------------------
-
-def embed_events(seq: EventSequence, params: ModelParams) -> np.ndarray:
-    """Input-layer embeddings of a sequence, one row per event."""
-    tape = ad.Tape()
-    theta = params.leaves(tape)
-    gaps = _gaps_graph(tape, seq.times)
-    return _embed_graph(tape, theta, params.config, seq.times, gaps, seq.marks).data.copy()
-
-
-def encode_self(seq: EventSequence, params: ModelParams) -> EncodedState:
-    if params.config.variant != "self":
-        raise ValueError("encode_self requires a self-variant model")
-    tape = ad.Tape()
-    theta = params.leaves(tape)
-    gaps = _gaps_graph(tape, seq.times)
-    return _encode_graph(tape, theta, params.config, seq.times, gaps, seq.marks)
-
-
-def encode_cross(seq: EventSequence, conditioning: EventSequence, params: ModelParams) -> EncodedState:
-    if params.config.variant != "cross":
-        raise ValueError("encode_cross requires a cross-variant model")
-    tape = ad.Tape()
-    theta = params.leaves(tape)
-    gaps = _gaps_graph(tape, seq.times)
-    cond_gaps = _gaps_graph(tape, conditioning.times)
-    return _encode_graph(tape, theta, params.config, seq.times, gaps, seq.marks,
-                         cond_times=conditioning.times, cond_gaps=cond_gaps,
-                         cond_marks=conditioning.marks)
-
-
-def time_log_density(gap, mu, sigma):
-    """Lognormal log-density of an inter-arrival gap (plain numpy)."""
-    gap = np.asarray(gap, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(gap <= 0.0):
-        raise ValueError("gap must be positive")
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
-    z = (np.log(gap) - mu) / sigma
-    out = -np.log(gap) - np.log(sigma) - 0.5 * LOG_2PI - 0.5 * z**2
-    return out if out.ndim else float(out)
-
-
-def mark_log_prob(state: np.ndarray, params: ModelParams, mark: int) -> float:
-    """Log-probability of ``mark`` under the linear-softmax mark head."""
-    if not 0 <= mark < params.config.mark_count:
-        raise ValueError(f"mark {mark} outside [0, {params.config.mark_count})")
-    logits = params.arrays["W_mark_head"] @ np.asarray(state, dtype=np.float64)
-    logits = logits + params.arrays["b_mark_head"]
-    m = logits.max()
-    return float(logits[mark] - m - np.log(np.exp(logits - m).sum()))
-
 
 def sequence_log_likelihood(seq: EventSequence, params: ModelParams,
                             conditioning: EventSequence | None = None,
@@ -367,32 +296,14 @@ def sequence_log_likelihood(seq: EventSequence, params: ModelParams,
 def grad_log_likelihood(seq: EventSequence, params: ModelParams,
                         conditioning: EventSequence | None = None) -> np.ndarray:
     """Flat gradient of the log-likelihood in canonical parameter order."""
-    tape = ad.Tape()
-    theta = params.leaves(tape)
-    cond_times = conditioning.times if conditioning is not None else None
-    cond_marks = conditioning.marks if conditioning is not None else None
-    ll = log_likelihood_graph(tape, theta, params.config, seq.times, seq.marks,
-                              cond_times=cond_times, cond_marks=cond_marks)
-    grads = tape.backward(ll, wrt=list(theta.values()))
-    named = {name: grads[theta[name]] for name, _ in param_order(params.config)}
-    return np.concatenate([np.ravel(named[n]) for n, _ in param_order(params.config)])
-
-
-def sample_next_event(state: np.ndarray, params: ModelParams,
-                      rng: np.random.Generator) -> tuple[float, int]:
-    """Draw (gap, mark) for the next event given a conditioning state.
-
-    The gap is lognormal via its closed form exp(mu + sigma * z); the mark
-    is categorical under the mark head.  Deterministic given ``rng``.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    mu, log_sigma = params.arrays["W_time_head"] @ state + params.arrays["b_time_head"]
-    gap = float(np.exp(mu + np.exp(log_sigma) * rng.standard_normal()))
-    logits = params.arrays["W_mark_head"] @ state + params.arrays["b_mark_head"]
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    mark = int(rng.choice(params.config.mark_count, p=p))
-    return gap, mark
+    with ad.Tape() as tape:
+        theta = params.leaves(tape)
+        cond_times = conditioning.times if conditioning is not None else None
+        cond_marks = conditioning.marks if conditioning is not None else None
+        ll = log_likelihood_graph(tape, theta, params.config, seq.times, seq.marks,
+                                  cond_times=cond_times, cond_marks=cond_marks)
+        grads = tape.backward(ll, wrt=list(theta.values()))
+    return np.concatenate([np.ravel(grads[theta[n]]) for n, _ in param_order(params.config)])
 
 
 # -- checkpoint format --------------------------------------------------------

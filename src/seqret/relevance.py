@@ -20,9 +20,10 @@ log p(corpus | unwarped query) and the query vector is the gradient of
 log p(unwarped query | unwarped query), so a sequence paired with itself
 still yields kernel 1.
 
-Fisher preconditioning is the identity by default; the "empirical" mode
-divides by the square root of a damped diagonal second-moment estimate
-before normalizing.
+The time distance and the net score kappa + gamma * sim each have one
+taped definition (``time_distance_graph``, ``score_graph``).  The trainer
+builds them on its loss tape; the eval-mode functions here and
+``retrieval.score_candidates`` evaluate them on a throwaway tape.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ __all__ = [
     "fisher_vector",
     "fisher_kernel",
     "relevance_score",
-    "empirical_diagonal",
+    "score_pair",
     "fisher_vector_graph",
     "time_distance_graph",
+    "score_graph",
 ]
 
 NORM_FLOOR = 1e-12
@@ -59,17 +61,9 @@ class VanishingGradientError(ArithmeticError):
     """A log-likelihood gradient had norm below the representable floor."""
 
 
-@dataclass
 class FisherConfig:
-    mode: str = "identity"  # or "empirical"
-    damping: float = 1e-6
-    diag: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("identity", "empirical"):
-            raise ValueError(f"unknown Fisher mode {self.mode!r}")
-        if self.mode == "empirical" and self.diag is None:
-            raise ValueError("empirical mode needs a diagonal estimate")
+    """Fisher preconditioning options, accepted by ``fisher_kernel`` and
+    ``relevance_score``.  The identity is the only mode, so it has none."""
 
 
 @dataclass
@@ -97,22 +91,14 @@ def time_distance(q_unwarped: EventSequence, c: EventSequence, T: float) -> floa
     for seq in (q_unwarped, c):
         if len(seq) and seq.times[-1] > T:
             raise ValueError(f"{seq.id}: event time {seq.times[-1]} exceeds T={T}")
-    h = min(len(q_unwarped), len(c))
-    matched = float(np.sum(np.abs(q_unwarped.times[:h] - c.times[:h])))
-    tail = q_unwarped.times[h:] if len(q_unwarped) > h else c.times[h:]
-    return matched + float(np.sum(T - tail))
+    with ad.Tape() as tape:
+        return time_distance_graph(tape, tape.constant(q_unwarped.times), c.times, T).item()
 
 
 def sim_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams, T: float) -> float:
     """-(time distance + mark distance) after unwarping the query."""
     uq = unwarp_sequence(q, unwarp)
     return -(time_distance(uq, c, T) + mark_distance(q, c))
-
-
-def _precondition(grad: np.ndarray, config: FisherConfig) -> np.ndarray:
-    if config.mode == "empirical":
-        return grad / np.sqrt(config.diag + config.damping)
-    return grad
 
 
 def unit_vector(grad: np.ndarray, label: str = "gradient") -> np.ndarray:
@@ -125,85 +111,57 @@ def unit_vector(grad: np.ndarray, label: str = "gradient") -> np.ndarray:
 
 
 def fisher_vector(seq: EventSequence, params: ModelParams,
-                  conditioning: EventSequence | None = None,
-                  config: FisherConfig | None = None) -> FisherVector:
-    """Unit-norm (preconditioned) log-likelihood gradient of one sequence."""
-    config = config or FisherConfig()
+                  conditioning: EventSequence | None = None) -> FisherVector:
+    """Unit-norm log-likelihood gradient of one sequence."""
     grad = mtpp.grad_log_likelihood(seq, params, conditioning=conditioning)
-    grad = _precondition(grad, config)
     return FisherVector(vector=unit_vector(grad, seq.id), seq_id=seq.id,
                         variant=params.config.variant)
 
 
-def fisher_kernel(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
-                  params: ModelParams, config: FisherConfig | None = None) -> float:
-    """Kernel value in [-1, 1] between a query and a corpus sequence."""
-    uq = unwarp_sequence(q, unwarp)
-    if params.config.variant == "self":
-        vq = fisher_vector(uq, params, config=config)
-        vc = fisher_vector(c, params, config=config)
-    else:
-        vq = fisher_vector(uq, params, conditioning=uq, config=config)
-        vc = fisher_vector(c, params, conditioning=uq, config=config)
-    return float(vq.vector @ vc.vector)
+def score_pair(vq: np.ndarray, vc: np.ndarray, uq: EventSequence, q: EventSequence,
+               c: EventSequence, gamma: float) -> float:
+    """Eval-mode ``score_graph`` of one pair from its unit vectors.
+
+    T is the larger of the corpus horizon and the unwarped query horizon,
+    which reduces to max of the raw horizons under the identity unwarp.
+    """
+    with ad.Tape() as tape:
+        return score_graph(tape, tape.constant(vq), tape.constant(vc), tape.constant(uq.times),
+                           q, c, max(uq.horizon, c.horizon), gamma).item()
 
 
 def relevance_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
                     params: ModelParams, config: FisherConfig | None = None,
                     gamma: float = 0.1) -> float:
-    """Net score: fisher_kernel + gamma * sim_score.
-
-    T is the larger of the corpus horizon and the unwarped query horizon,
-    which reduces to max of the raw horizons under the identity unwarp.
-    """
+    """Net score: fisher_kernel + gamma * sim_score."""
     uq = unwarp_sequence(q, unwarp)
-    T = max(uq.horizon, c.horizon)
-    sim = -(time_distance(uq, c, T) + mark_distance(q, c))
-    if params.config.variant == "self":
-        vq = fisher_vector(uq, params, config=config)
-        vc = fisher_vector(c, params, config=config)
-    else:
-        vq = fisher_vector(uq, params, conditioning=uq, config=config)
-        vc = fisher_vector(c, params, conditioning=uq, config=config)
-    return float(vq.vector @ vc.vector) + gamma * sim
+    cond = uq if params.config.variant == "cross" else None
+    vq = fisher_vector(uq, params, conditioning=cond)
+    vc = fisher_vector(c, params, conditioning=cond)
+    return score_pair(vq.vector, vc.vector, uq, q, c, gamma)
 
 
-def empirical_diagonal(seqs, params: ModelParams) -> np.ndarray:
-    """Mean squared gradient per coordinate over a sample of sequences.
-
-    Self-likelihood gradients regardless of variant use; this feeds the
-    "empirical" Fisher preconditioner.
-    """
-    acc = np.zeros(params.n_params)
-    count = 0
-    for seq in seqs:
-        g = mtpp.grad_log_likelihood(seq, params)
-        acc += g * g
-        count += 1
-    if count == 0:
-        raise ValueError("need at least one sequence to estimate the diagonal")
-    return acc / count
+def fisher_kernel(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
+                  params: ModelParams, config: FisherConfig | None = None) -> float:
+    """Kernel value in [-1, 1] between a query and a corpus sequence."""
+    return relevance_score(q, c, unwarp, params, gamma=0.0)
 
 
-# -- taped variants (training path) -----------------------------------------
+# -- taped definitions (the trainer's loss tape, or a throwaway one) ---------
 
 def fisher_vector_graph(tape: ad.Tape, theta: dict[str, ad.Value], config: ModelConfig,
-                        times, marks, cond_times=None, cond_marks=None,
-                        fisher: FisherConfig | None = None) -> ad.Value:
+                        times, marks, cond_times=None, cond_marks=None) -> ad.Value:
     """Taped unit-norm gradient; differentiable through the inner backward.
 
     The returned Value depends on the model leaves twice (once through
     the likelihood, once through its recorded adjoints), which is what
     lets the ranking loss learn the vectors themselves.
     """
-    fisher = fisher or FisherConfig()
     ll = mtpp.log_likelihood_graph(tape, theta, config, times, marks,
                                    cond_times=cond_times, cond_marks=cond_marks)
     grads = tape.backward(ll, wrt=list(theta.values()), as_values=True)
     named = {name: grads[leaf] for name, leaf in theta.items()}
     flat = mtpp.flatten_grad_values(tape, named, config)
-    if fisher.mode == "empirical":
-        flat = ad.mul(flat, tape.constant(1.0 / np.sqrt(fisher.diag + fisher.damping)))
     norm = ad.sqrt(ad.vsum(ad.square(flat)))
     if norm.data <= NORM_FLOOR:
         raise VanishingGradientError(f"gradient norm {norm.data:.3e} below {NORM_FLOOR}")
@@ -229,3 +187,16 @@ def time_distance_graph(tape: ad.Tape, uq_times: ad.Value, c_times: np.ndarray,
     if nc > h:
         return ad.add(matched, float(np.sum(T - c_times[h:])))
     return matched
+
+
+def score_graph(tape: ad.Tape, vq: ad.Value, vc: ad.Value, uq_times: ad.Value,
+                q: EventSequence, c: EventSequence, T: float, gamma: float) -> ad.Value:
+    """Net score kappa + gamma * sim of one pair, on ``tape``.
+
+    ``vq`` and ``vc`` are the unit gradient vectors and ``uq_times`` the
+    unwarped query times; ``q`` and ``c`` supply the marks and the corpus
+    times.
+    """
+    sim = ad.neg(ad.add(time_distance_graph(tape, uq_times, c.times, T),
+                        float(mark_distance(q, c))))
+    return ad.add(ad.dot(vq, vc), ad.mul(sim, gamma))

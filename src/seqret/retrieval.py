@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,13 +26,7 @@ from .hashing import (
     train_hash_net,
 )
 from .mtpp import ModelParams
-from .relevance import (
-    FisherConfig,
-    VanishingGradientError,
-    fisher_vector,
-    mark_distance,
-    time_distance,
-)
+from .relevance import VanishingGradientError, fisher_vector, score_pair
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import UnwarpParams, unwarp_sequence
 
@@ -121,8 +114,7 @@ def rank_by_score(scores: dict[str, float]) -> list[tuple[str, float]]:
 # -- scoring ------------------------------------------------------------------
 
 def score_candidates(query: EventSequence, candidates, params: ModelParams,
-                     unwarp: UnwarpParams, fisher: FisherConfig | None = None,
-                     gamma: float = 0.1,
+                     unwarp: UnwarpParams, gamma: float = 0.1,
                      vector_cache: dict | None = None) -> dict[str, float]:
     """Relevance scores of one query against a list of corpus sequences.
 
@@ -131,56 +123,42 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
     shared across calls through ``vector_cache``.  Candidates whose
     gradient vanishes are skipped with a warning rather than scored.
     """
-    fisher = fisher or FisherConfig()
     uq = unwarp_sequence(query, unwarp)
     cross = params.config.variant == "cross"
-    vq = fisher_vector(uq, params, conditioning=uq if cross else None, config=fisher)
+    vq = fisher_vector(uq, params, conditioning=uq if cross else None)
     scores: dict[str, float] = {}
     for c in candidates:
         try:
             if cross:
-                vc = fisher_vector(c, params, conditioning=uq, config=fisher)
+                vc = fisher_vector(c, params, conditioning=uq)
             elif vector_cache is not None and c.id in vector_cache:
                 vc = vector_cache[c.id]
             else:
-                vc = fisher_vector(c, params, config=fisher)
+                vc = fisher_vector(c, params)
                 if vector_cache is not None:
                     vector_cache[c.id] = vc
         except VanishingGradientError:
             warnings.warn(f"skipping {c.id}: vanishing gradient under the scoring model")
             continue
-        T = max(uq.horizon, c.horizon)
-        sim = -(time_distance(uq, c, T) + mark_distance(query, c))
-        scores[c.id] = float(vq.vector @ vc.vector) + gamma * sim
+        scores[c.id] = score_pair(vq.vector, vc.vector, uq, query, c, gamma)
     return scores
 
 
-def corpus_fisher_vectors(corpus: dict[str, EventSequence], params: ModelParams,
-                          fisher: FisherConfig | None = None,
-                          threads: int = 1) -> tuple[dict[str, np.ndarray], list[str]]:
+def corpus_fisher_vectors(corpus: dict[str, EventSequence],
+                          params: ModelParams) -> tuple[dict[str, np.ndarray], list[str]]:
     """Self-variant gradient vectors for every corpus sequence.
 
     Returns (vectors, excluded); sequences whose gradient vanishes are
     excluded from indexing and reported, not silently dropped.
     """
-    fisher = fisher or FisherConfig()
-    ids = list(corpus)
-
-    def one(cid: str):
+    vectors: dict[str, np.ndarray] = {}
+    excluded: list[str] = []
+    for cid, seq in corpus.items():
         try:
-            return cid, fisher_vector(corpus[cid], params, config=fisher).vector
+            vectors[cid] = fisher_vector(seq, params).vector
         except VanishingGradientError:
-            return cid, None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ids))
-    else:
-        rows = [one(cid) for cid in ids]
-    vectors = {cid: vec for cid, vec in rows if vec is not None}
-    excluded = [cid for cid, vec in rows if vec is None]
-    for cid in excluded:
-        warnings.warn(f"excluding {cid} from the index: vanishing gradient")
+            excluded.append(cid)
+            warnings.warn(f"excluding {cid} from the index: vanishing gradient")
     return vectors, excluded
 
 
@@ -191,16 +169,12 @@ class PipelineConfig:
     """Knobs shared by indexing and querying."""
 
     gamma: float = 0.1
-    fisher: FisherConfig = field(default_factory=FisherConfig)
     hash: HashConfig = field(default_factory=HashConfig)
     encoder_kind: str = "trained"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.encoder_kind not in ("trained", "random"):
             raise ValueError(f"unknown encoder kind {self.encoder_kind!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 @dataclass
@@ -240,8 +214,7 @@ def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
     if index_params.config.variant != "self":
         raise ValueError("index model must be the self variant")
     if vectors is None:
-        vectors, excluded = corpus_fisher_vectors(corpus, index_params,
-                                                  config.fisher, config.threads)
+        vectors, excluded = corpus_fisher_vectors(corpus, index_params)
     else:
         excluded = [cid for cid in corpus if cid not in vectors]
     if not vectors:
@@ -267,7 +240,7 @@ def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
 
 def _query_candidates(pipeline: Pipeline, query: EventSequence) -> tuple[list[str], bool]:
     uq = unwarp_sequence(query, pipeline.index_unwarp)
-    vq = fisher_vector(uq, pipeline.index_params, config=pipeline.config.fisher)
+    vq = fisher_vector(uq, pipeline.index_params)
     code = pipeline.encoder.encode(vq.vector)
     candidates = candidate_lookup(pipeline.index, code)
     if candidates:
@@ -293,7 +266,7 @@ def query_topk(pipeline: Pipeline, query: EventSequence, k: int = 10,
         candidates = [cid for cid in candidates if cid in restrict_to]
     scores = score_candidates(query, [pipeline.corpus[cid] for cid in candidates],
                               pipeline.score_params, pipeline.score_unwarp,
-                              pipeline.config.fisher, pipeline.config.gamma)
+                              pipeline.config.gamma)
     return RankedResult(query_id=query.id, ranking=rank_by_score(scores)[:k],
                         mode="exhaustive" if exhaustive else "hashed",
                         comparisons=comparisons, fallback=fallback)

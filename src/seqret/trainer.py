@@ -1,12 +1,12 @@
 """Joint training of the relevance model and the query unwarp.
 
 The loss is a pairwise ranking hinge over (query, relevant, non-relevant)
-triples.  Scores inside the loss are the same kernel-plus-distance
-combination the retrieval path uses, built on one tape per batch so the
-gradient flows through the normalized likelihood gradients themselves and
-through the unwarped query times.
+triples.  Scores inside the loss are built by ``relevance.score_graph``,
+the same kernel-plus-distance definition the retrieval path evaluates,
+on one tape per batch so the gradient flows through the normalized
+likelihood gradients themselves and through the unwarped query times.
 
-Two deliberate asymmetries with the eval-mode scorer:
+Two deliberate asymmetries with the eval-mode scorer stay:
   * the horizon T of the time distance is the raw max of the two
     horizons (the eval path uses the unwarped query horizon), keeping T
     out of the differentiation;
@@ -27,7 +27,7 @@ from . import autodiff as ad
 from ._opt import AdamState, TrainingDivergedError, adam_update
 from .autodiff import DomainError
 from .mtpp import ModelConfig, ModelParams
-from .relevance import fisher_vector_graph, mark_distance, time_distance_graph
+from .relevance import fisher_vector_graph, score_graph
 from .retrieval import average_precision, rank_by_score, score_candidates
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import (
@@ -206,9 +206,7 @@ def epoch_loss(queries: dict[str, EventSequence], corpus: dict[str, EventSequenc
             else:
                 vc = fisher_vector_graph(tape, theta, mcfg, c.times, c.marks)
                 self_cache[cid] = vc
-            td = time_distance_graph(tape, uq, c.times, max(q.horizon, c.horizon))
-            sim = ad.neg(ad.add(td, float(mark_distance(q, c))))
-            s = ad.add(ad.dot(vq, vc), ad.mul(sim, config.gamma))
+            s = score_graph(tape, vq, vc, uq, q, c, max(q.horizon, c.horizon), config.gamma)
             scores[cid] = s
             return s
 
@@ -354,6 +352,7 @@ def train(corpus: dict[str, EventSequence], queries: dict[str, EventSequence],
                 adam_update(uparams.arrays, {n: grads[v] for n, v in lg.phi.items()},
                             state_phi, lr=config.learning_rate, beta1=config.adam_beta1,
                             beta2=config.adam_beta2, eps=config.adam_eps)
+            lg.tape.release()
             epoch_total += loss_val
             epoch_pairs += lg.n_pairs
         val = None

@@ -8,13 +8,17 @@ map query times through
 
 where the rate u is a small feed-forward network with a final ReLU clamp,
 so u >= 0 and U is non-decreasing for any parameters.  The integral is a
-composite trapezoid rule with ``n_quad`` panels: a single time uses a
-fixed grid over [0, t]; a batch of times is integrated cumulatively, one
-``n_quad``-panel rule per segment between consecutive sorted times, so
-batched outputs are monotone by construction (per-time scaled grids are
-not: their quadrature errors differ, and nearby times can swap by the
-error margin).  The rule is exact for constant and affine rates, which
-covers the identity configuration used as the no-unwarp baseline.
+composite trapezoid rule with ``n_quad`` panels per segment between
+consecutive sorted times, accumulated by a cumulative sum, so outputs
+are monotone by construction (per-time scaled grids are not: their
+quadrature errors differ, and nearby times can swap by the error
+margin).  The rule is exact for constant and affine rates, which covers
+the identity configuration used as the no-unwarp baseline.
+
+Eval and training share one taped builder with one tie rule: training
+differentiates ``unwarp_times_graph`` on its loss tape, and the eval-mode
+``unwarp_times`` / ``unwarp_time`` / ``unwarp_sequence`` evaluate the same
+builder on a throwaway tape.
 
 Training adds a small Gaussian intercept eta (exploration of the phase)
 and an unbiasedness penalty (1/sigma^2) * integral_0^T (u(t) - 1)^2 dt that
@@ -25,7 +29,7 @@ train-mode only; evaluation is deterministic with eta = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,11 +40,9 @@ from .sequences import EventSequence
 __all__ = [
     "UnwarpConfig",
     "UnwarpParams",
-    "u_rate",
     "unwarp_times",
     "unwarp_time",
     "unwarp_sequence",
-    "unbiasedness_penalty",
     "unwarp_times_graph",
     "unbiasedness_penalty_graph",
 ]
@@ -72,8 +74,9 @@ class UnwarpConfig:
 class UnwarpParams:
     """Rate-network weights; canonical flat order is PHI_ORDER, row-major.
 
-    ``rate_hook`` substitutes an arbitrary rate function for diagnostics
-    (eval mode only, carries no gradient and is never serialized).
+    ``rate_hook`` substitutes an arbitrary rate function for diagnostics:
+    eval mode only, it enters the graph as a constant rate node (so it
+    carries no gradient) and is never serialized.
     """
 
     def __init__(self, config: UnwarpConfig, arrays: dict[str, np.ndarray],
@@ -140,21 +143,6 @@ class UnwarpParams:
         return {name: tape.leaf(self.arrays[name], f"phi.{name}") for name in PHI_ORDER}
 
 
-def _rate_numpy(tau: np.ndarray, params: UnwarpParams) -> np.ndarray:
-    if params.rate_hook is not None:
-        return np.maximum(np.asarray(params.rate_hook(tau), dtype=np.float64), 0.0)
-    a = params.arrays
-    h1 = np.maximum(tau[:, None] * a["w1"][None, :] + a["b1"], 0.0)
-    h2 = np.maximum(h1 @ a["W2"].T + a["b2"], 0.0)
-    return np.maximum(h2 @ a["w3"] + float(a["b3"]), 0.0)
-
-
-def u_rate(t, params: UnwarpParams) -> np.ndarray:
-    """Rate u(t) >= 0 at one or many times (eval mode)."""
-    tau = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return _rate_numpy(tau, params)
-
-
 def _segment_nodes(sorted_times: np.ndarray, n_quad: int):
     """Quadrature nodes/weights per segment between consecutive sorted
     times (a leading 0 is implied).  Zero-length segments get zero weight."""
@@ -168,41 +156,72 @@ def _segment_nodes(sorted_times: np.ndarray, n_quad: int):
     return taus, weights
 
 
-def unwarp_times(times, params: UnwarpParams, rng: np.random.Generator | None = None) -> np.ndarray:
-    """U at each time; ``rng`` enables the train-mode intercept noise.
+def _rate_graph(tau: np.ndarray, phi: dict[str, ad.Value], tape: ad.Tape,
+                rate_hook: Callable[[np.ndarray], np.ndarray] | None = None) -> ad.Value:
+    if rate_hook is not None:
+        return tape.constant(np.maximum(np.asarray(rate_hook(tau), dtype=np.float64), 0.0))
+    t_col = tape.constant(tau.reshape(-1, 1))
+    a1 = ad.relu(ad.add(ad.matmul(t_col, ad.reshape(phi["w1"], (1, -1))), phi["b1"]))
+    a2 = ad.relu(ad.add(ad.matmul(a1, ad.transpose(phi["W2"])), phi["b2"]))
+    return ad.relu(ad.add(ad.matvec(a2, phi["w3"]), phi["b3"]))
 
-    Segment increments of a non-negative rate are non-negative, so the
-    output preserves the input order exactly.  One eta is drawn per call
-    and shifts the whole output, which keeps order as well.
+
+def _unwarp_graph(times, phi: dict[str, ad.Value], config: UnwarpConfig, tape: ad.Tape,
+                  rate_hook=None) -> tuple[ad.Value, int]:
+    """Taped U(times) without noise, plus the number of tied segments.
+
+    Tie rule: a segment of positive span whose rate integrates below
+    ``TIE_EPS`` is floored to it (``relu(inc - eps) + eps``), so distinct
+    times stay strictly increasing and the downstream gap likelihood stays
+    in-domain; a zero-span segment (a repeated input time) keeps increment
+    0, so equal inputs map to equal outputs.
     """
     times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        return times.copy()
-    if np.any(times < 0.0):
-        raise ValueError("unwarp_times: times must be >= 0")
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    taus, weights = _segment_nodes(sorted_times, params.config.n_quad)
-    rate = _rate_numpy(taus.ravel(), params).reshape(taus.shape)
-    increments = np.sum(rate * weights, axis=1)
-    tied = (increments < TIE_EPS) & (np.diff(sorted_times, prepend=0.0) > 0.0)
-    if np.any(tied):
-        warnings.warn(f"unwarp produced {int(np.sum(tied))} tied times "
-                      f"(rate vanished on a segment); separated by {TIE_EPS:g}")
-        increments = np.maximum(increments, np.where(tied, TIE_EPS, 0.0))
-    out = np.empty_like(times)
-    out[order] = np.cumsum(increments)
-    if rng is not None and params.config.noise_sigma > 0:
-        out = out + rng.normal(0.0, params.config.noise_sigma)
+    if np.any(np.diff(times) < 0.0) or (times.size and times[0] < 0.0):
+        raise ValueError("unwarp: times must be sorted and >= 0")
+    taus, weights = _segment_nodes(times, config.n_quad)
+    rate = _rate_graph(taus.ravel(), phi, tape, rate_hook)
+    inc = ad.vsum(ad.mul(ad.reshape(rate, taus.shape), tape.constant(weights)), axis=1)
+    positive = np.diff(times, prepend=0.0) > 0.0
+    tied = int(np.sum((inc.data < TIE_EPS) & positive))
+    inc = ad.add(ad.relu(ad.sub(inc, TIE_EPS)), tape.constant(np.where(positive, TIE_EPS, 0.0)))
+    return ad.cumsum(inc, axis=0), tied
+
+
+def unwarp_times_graph(times: np.ndarray, phi: dict[str, ad.Value], config: UnwarpConfig,
+                       tape: ad.Tape, noise: float = 0.0) -> ad.Value:
+    """Taped U(times) for sorted times (event streams are sorted).
+
+    ``noise`` is a pre-drawn eta (the trainer draws it so that runs are
+    reproducible from one root seed).
+    """
+    out, _ = _unwarp_graph(times, phi, config, tape)
+    if noise:
+        out = ad.add(out, float(noise))
     return out
+
+
+def unwarp_times(times, params: UnwarpParams) -> np.ndarray:
+    """U at each sorted time in eval mode (no noise), on a throwaway tape.
+
+    Segment increments of a non-negative rate are non-negative, so the
+    output preserves the input order; ties of distinct times are
+    separated by ``TIE_EPS`` with a warning.
+    """
+    with ad.Tape() as tape:
+        out, tied = _unwarp_graph(times, params.leaves(tape), params.config, tape,
+                                  params.rate_hook)
+    if tied:
+        warnings.warn(f"unwarp produced {tied} tied times "
+                      f"(rate vanished on a segment); separated by {TIE_EPS:g}")
+    return out.data
 
 
 def unwarp_time(t: float, params: UnwarpParams) -> float:
     return float(unwarp_times(np.array([t]), params)[0])
 
 
-def unwarp_sequence(seq: EventSequence, params: UnwarpParams,
-                    rng: np.random.Generator | None = None) -> EventSequence:
+def unwarp_sequence(seq: EventSequence, params: UnwarpParams) -> EventSequence:
     """Unwarped view of a query for scoring; marks and id are unchanged.
 
     The horizon maps through U as well.  If the rate vanishes over a whole
@@ -210,55 +229,13 @@ def unwarp_sequence(seq: EventSequence, params: UnwarpParams,
     (with a warning), so the view stays strictly increasing.
     """
     n = len(seq)
-    both = np.concatenate([seq.times, [seq.horizon]])
-    mapped = unwarp_times(both, params, rng=rng)
+    mapped = unwarp_times(np.concatenate([seq.times, [seq.horizon]]), params)
     return EventSequence(seq.id, mapped[:n], seq.marks, float(mapped[n]))
-
-
-def unbiasedness_penalty(params: UnwarpParams, T: float) -> float:
-    """(1 / sigma^2) * integral_0^T (u(t) - 1)^2 dt, trapezoid rule."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    taus, weights = _segment_nodes(np.array([float(T)]), params.config.n_quad)
-    rate = _rate_numpy(taus.ravel(), params)
-    dev = (rate - 1.0) ** 2
-    return float(np.sum(dev * weights.ravel()) / params.config.unbias_sigma**2)
-
-
-# -- taped variants (training path) -----------------------------------------
-
-def _rate_graph(tau: np.ndarray, phi: dict[str, ad.Value], tape: ad.Tape) -> ad.Value:
-    t_col = tape.constant(tau.reshape(-1, 1))
-    a1 = ad.relu(ad.add(ad.matmul(t_col, ad.reshape(phi["w1"], (1, -1))), phi["b1"]))
-    a2 = ad.relu(ad.add(ad.matmul(a1, ad.transpose(phi["W2"])), phi["b2"]))
-    return ad.relu(ad.add(ad.matvec(a2, phi["w3"]), phi["b3"]))
-
-
-def unwarp_times_graph(times: np.ndarray, phi: dict[str, ad.Value], config: UnwarpConfig,
-                       tape: ad.Tape, noise: float = 0.0) -> ad.Value:
-    """Taped U(times) for already-sorted times (event streams are sorted).
-
-    ``noise`` is a pre-drawn eta (the trainer draws it so that runs are
-    reproducible from one root seed).
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if np.any(np.diff(times) < 0.0) or (times.size and times[0] < 0.0):
-        raise ValueError("unwarp_times_graph: times must be sorted and >= 0")
-    taus, weights = _segment_nodes(times, config.n_quad)
-    rate = _rate_graph(taus.ravel(), phi, tape)
-    panel = ad.mul(ad.reshape(rate, taus.shape), tape.constant(weights))
-    inc = ad.vsum(panel, axis=1)
-    # same tie separation as unwarp_times: max(inc, eps) keeps the
-    # downstream gap likelihood in-domain when the rate dies on a segment
-    inc = ad.add(ad.relu(ad.sub(inc, TIE_EPS)), TIE_EPS)
-    out = ad.cumsum(inc, axis=0)
-    if noise:
-        out = ad.add(out, float(noise))
-    return out
 
 
 def unbiasedness_penalty_graph(phi: dict[str, ad.Value], config: UnwarpConfig,
                                T: float, tape: ad.Tape) -> ad.Value:
+    """(1 / sigma^2) * integral_0^T (u(t) - 1)^2 dt, trapezoid rule."""
     taus, weights = _segment_nodes(np.array([float(T)]), config.n_quad)
     rate = _rate_graph(taus.ravel(), phi, tape)
     dev = ad.square(ad.sub(rate, 1.0))

@@ -323,3 +323,35 @@ class TestErrorProtocol:
         code = cli.main(["gen", "--out", str(tmp_path / "o"), "--bases", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error\tValueError\t")
+
+    @pytest.mark.parametrize("command,artifact,keep", [
+        ("query", "index", 0.5), ("index", "checkpoint", 20), ("bench", "vectors", 10),
+    ])
+    def test_truncated_artifact(self, ws, tmp_path, capsys, command, artifact, keep):
+        source = {"index": ws.idx / "index.bin", "checkpoint": ws.own / "checkpoint.bin",
+                  "vectors": ws.idx / "vectors.bin"}[artifact]
+        raw = source.read_bytes()
+        cut = tmp_path / source.name
+        cut.write_bytes(raw[:int(len(raw) * keep) if keep < 1 else keep])
+        out = tmp_path / "o"
+        queries = ["--queries", ws.data / "queries.jsonl"]
+        argv = {
+            "query": ["query", "--out", out] + queries + ws.pipeline_args[:-2]
+                     + ["--index", cut],
+            "index": ["index", "--out", out, "--corpus", ws.data / "corpus.jsonl",
+                      "--checkpoint", cut],
+            "bench": ["bench", "--out", out, "--vectors", cut, "--judgments",
+                      ws.data / "judgments.tsv"] + queries + ws.pipeline_args,
+        }[command]
+        code = cli.main([str(a) for a in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\t") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["index", "--out", "o", "--corpus", "c", "--checkpoint", "k",
+                      "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Sequence model: embeddings, both attention variants against a
 hand-rolled numpy oracle, likelihood terms, gradients vs finite
-differences, sampling statistics, and the checkpoint format."""
+differences, and the checkpoint format."""
 
 import numpy as np
 import pytest
@@ -23,6 +23,50 @@ def make_model(variant="self", dim=4, mark_count=3, n_max=16, num_blocks=1, seed
 
 def seq3():
     return EventSequence("s3", np.array([0.5, 1.3, 2.2]), np.array([0, 2, 1]), 3.0)
+
+
+def embed(seq, params):
+    """Input-layer embeddings of a sequence, one row per event."""
+    tape = ad.Tape()
+    gaps = mtpp._gaps_graph(tape, seq.times)
+    return mtpp._embed_graph(tape, params.leaves(tape), params.config, seq.times, gaps,
+                             seq.marks).data
+
+
+def encode(seq, params, cond=None):
+    """Conditioning states of ``seq``: row k conditions event k+1."""
+    tape = ad.Tape()
+    cond_args = {}
+    if cond is not None:
+        cond_args = dict(cond_times=cond.times, cond_gaps=mtpp._gaps_graph(tape, cond.times),
+                         cond_marks=cond.marks)
+    return mtpp._encode_graph(tape, params.leaves(tape), params.config, seq.times,
+                              mtpp._gaps_graph(tape, seq.times), seq.marks, **cond_args).data
+
+
+def attention_outputs(seq, params, cond=None):
+    """Raw attention outputs h_j of ``seq`` (the encoder before the output layer)."""
+    tape = ad.Tape()
+    theta = params.leaves(tape)
+
+    def embedded(s):
+        return mtpp._embed_graph(tape, theta, params.config, s.times,
+                                 mtpp._gaps_graph(tape, s.times), s.marks)
+
+    y_cond = embedded(cond) if cond is not None else None
+    return mtpp._attention_graph(tape, theta, params.config, embedded(seq), y_cond).data
+
+
+def one_event_ll(gap, mark=0, mu=0.0, sigma=1.0, mark_bias=(0.0, 0.0, 0.0)):
+    """Log-likelihood of one event with both heads pinned to their biases:
+    the lognormal log-density of ``gap`` plus the mark log-probability."""
+    cfg, params = make_model()
+    params.arrays["W_time_head"] = np.zeros((2, 4))
+    params.arrays["b_time_head"] = np.array([mu, np.log(sigma)])
+    params.arrays["W_mark_head"] = np.zeros((3, 4))
+    params.arrays["b_mark_head"] = np.asarray(mark_bias, dtype=float)
+    seq = EventSequence("one", np.array([gap]), np.array([mark]), gap + 1.0)
+    return mtpp.sequence_log_likelihood(seq, params).item()
 
 
 def oracle_forward(params, seq, cond=None):
@@ -81,7 +125,7 @@ class TestEmbedding:
         cfg, params = make_model()
         for name in params.arrays:
             params.arrays[name] = np.zeros_like(params.arrays[name])
-        y = mtpp.embed_events(seq3(), params)
+        y = embed(seq3(), params)
         np.testing.assert_array_equal(y, np.zeros((3, 4)))
 
     def test_bias_only_embedding_is_unit_vector(self):
@@ -90,12 +134,12 @@ class TestEmbedding:
             params.arrays[name] = np.zeros_like(params.arrays[name])
         params.arrays["b_embed"] = np.array([1.0, 0.0, 0.0, 0.0])
         seq = EventSequence("one", np.array([0.7]), np.array([1]), 1.0)
-        np.testing.assert_array_equal(mtpp.embed_events(seq, params), [[1.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(embed(seq, params), [[1.0, 0.0, 0.0, 0.0]])
 
     def test_matches_oracle(self, rng):
         cfg, params = make_model(seed=5)
         seq = random_sequence(rng, n=5)
-        y = mtpp.embed_events(seq, params)
+        y = embed(seq, params)
         gaps = np.diff(seq.times, prepend=0.0)
         a = params.arrays
         expected = (a["embed_mark"][seq.marks] + np.outer(seq.times, a["w_time"])
@@ -107,21 +151,21 @@ class TestEncoders:
     def test_self_states_match_oracle(self, rng):
         cfg, params = make_model(seed=11)
         seq = random_sequence(rng, n=4)
-        enc = mtpp.encode_self(seq, params)
-        np.testing.assert_allclose(enc.states.data, oracle_forward(params, seq), rtol=1e-10)
+        states = encode(seq, params)
+        np.testing.assert_allclose(states, oracle_forward(params, seq), rtol=1e-10)
 
     def test_cross_states_match_oracle(self, rng):
         cfg, params = make_model(variant="cross", seed=12)
         seq = random_sequence(rng, n=4, seq_id="c")
         cond = random_sequence(rng, n=3, seq_id="q")
-        enc = mtpp.encode_cross(seq, cond, params)
-        np.testing.assert_allclose(enc.states.data, oracle_forward(params, seq, cond), rtol=1e-10)
+        states = encode(seq, params, cond)
+        np.testing.assert_allclose(states, oracle_forward(params, seq, cond), rtol=1e-10)
 
     def test_two_blocks_match_oracle(self, rng):
         cfg, params = make_model(seed=13, num_blocks=2)
         seq = random_sequence(rng, n=4)
-        enc = mtpp.encode_self(seq, params)
-        np.testing.assert_allclose(enc.states.data, oracle_forward(params, seq), rtol=1e-10)
+        states = encode(seq, params)
+        np.testing.assert_allclose(states, oracle_forward(params, seq), rtol=1e-10)
 
     def test_identical_events_attend_uniformly(self):
         # All-equal inputs make every attention row average identical values.
@@ -131,13 +175,13 @@ class TestEncoders:
         params.arrays["w_gap"] = np.zeros(4)
         params.arrays["pos"] = np.zeros_like(params.arrays["pos"])
         seq = EventSequence("same", times, np.array([1, 1, 1]), 4.0)
-        enc = mtpp.encode_self(seq, params)
+        states = encode(seq, params)
         y = params.arrays["embed_mark"][1] + params.arrays["b_embed"]
         v = params.arrays["W_v0"] @ y
         f = (params.arrays["w_out"] * np.maximum(v * params.arrays["w_ff"] + params.arrays["b_ff"], 0)
              + params.arrays["b_out"])
-        np.testing.assert_allclose(enc.states.data[1], f, rtol=1e-10)
-        np.testing.assert_allclose(enc.states.data[2], 2 * f, rtol=1e-10)
+        np.testing.assert_allclose(states[1], f, rtol=1e-10)
+        np.testing.assert_allclose(states[2], 2 * f, rtol=1e-10)
 
     def test_causality_prefix_states_unchanged(self, rng):
         cfg, params = make_model(seed=7)
@@ -149,8 +193,8 @@ class TestEncoders:
         m2 = marks.copy()
         m2[4] = 2
         seq2 = EventSequence("b", t2, m2, 4.0)
-        s1 = mtpp.encode_self(seq, params).states.data
-        s2 = mtpp.encode_self(seq2, params).states.data
+        s1 = encode(seq, params)
+        s2 = encode(seq2, params)
         # states 0..4 condition events 1..5; event 5 changed, so states
         # 0..4 (built from events 1..4) must be bit-identical.
         np.testing.assert_array_equal(s1[:5], s2[:5])
@@ -162,8 +206,8 @@ class TestEncoders:
         cfg_c = ModelConfig(variant="cross", dim=4, mark_count=3, n_max=16)
         params_c = ModelParams(cfg_c, {k: v.copy() for k, v in params_s.arrays.items()})
         seq = random_sequence(rng, n=4)
-        last_self = mtpp.encode_self(seq, params_s).context.data[-1]
-        last_cross = mtpp.encode_cross(seq, seq, params_c).context.data[-1]
+        last_self = attention_outputs(seq, params_s)[-1]
+        last_cross = attention_outputs(seq, params_c, cond=seq)[-1]
         np.testing.assert_allclose(last_self, last_cross, rtol=1e-10)
 
     def test_single_event_cross_equals_self(self, rng):
@@ -171,19 +215,14 @@ class TestEncoders:
         cfg_c = ModelConfig(variant="cross", dim=4, mark_count=3, n_max=16)
         params_c = ModelParams(cfg_c, {k: v.copy() for k, v in params_s.arrays.items()})
         seq = EventSequence("one", np.array([0.8]), np.array([2]), 1.5)
-        enc_s = mtpp.encode_self(seq, params_s)
-        enc_c = mtpp.encode_cross(seq, seq, params_c)
-        np.testing.assert_allclose(enc_s.context.data, enc_c.context.data, rtol=1e-12)
-        np.testing.assert_allclose(enc_s.states.data, enc_c.states.data, rtol=1e-12)
+        np.testing.assert_allclose(attention_outputs(seq, params_s),
+                                   attention_outputs(seq, params_c, cond=seq), rtol=1e-12)
+        np.testing.assert_allclose(encode(seq, params_s), encode(seq, params_c, cond=seq),
+                                   rtol=1e-12)
 
     def test_variant_guards(self, rng):
-        cfg, params = make_model(variant="self")
         seq = random_sequence(rng, n=3)
-        with pytest.raises(ValueError):
-            mtpp.encode_cross(seq, seq, params)
         cfg_c, params_c = make_model(variant="cross")
-        with pytest.raises(ValueError):
-            mtpp.encode_self(seq, params_c)
         with pytest.raises(ValueError, match="conditioning"):
             mtpp.sequence_log_likelihood(seq, params_c)
 
@@ -205,42 +244,41 @@ class TestLengthLimits:
 class TestDensities:
     def test_lognormal_standard_value(self):
         # At gap 1, mu 0, sigma 1 only the constant survives.
-        assert mtpp.time_log_density(1.0, 0.0, 1.0) == pytest.approx(-0.9189385332046727, abs=1e-12)
+        assert one_event_ll(1.0) - np.log(1 / 3) == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_lognormal_mode_arguments(self):
         # dev = 0 when log gap == mu.
-        val = mtpp.time_log_density(np.e, 1.0, 0.5)
+        val = one_event_ll(np.e, mu=1.0, sigma=0.5) - np.log(1 / 3)
         assert val == pytest.approx(-1.0 - np.log(0.5) - 0.5 * LOG_2PI, abs=1e-12)
 
     def test_density_integrates_to_one(self):
-        grid = np.linspace(1e-6, 60.0, 400_000)
-        dens = np.exp(mtpp.time_log_density(grid, 0.0, 0.5))
+        # integrate over log gap, where the lognormal is a smooth Gaussian
+        grid = np.exp(np.linspace(np.log(1e-4), np.log(60.0), 400))
+        dens = np.exp([one_event_ll(g) - np.log(1 / 3) for g in grid])
         trap = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-        assert trap(dens, grid) == pytest.approx(1.0, abs=1e-4)
+        assert trap(dens * grid, np.log(grid)) == pytest.approx(1.0, abs=1e-4)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            mtpp.time_log_density(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            mtpp.time_log_density(1.0, 0.0, 0.0)
+        with pytest.raises(ad.DomainError):
+            one_event_ll(0.0)
+        cfg, params = make_model()
+        backwards = EventSequence("b", np.array([1.0, 0.5]), np.array([0, 1]), 2.0)
+        with pytest.raises(ad.DomainError):
+            mtpp.sequence_log_likelihood(backwards, params)
 
     def test_mark_log_prob_uniform(self):
-        cfg, params = make_model()
-        params.arrays["W_mark_head"] = np.zeros((3, 4))
-        params.arrays["b_mark_head"] = np.zeros(3)
-        assert mtpp.mark_log_prob(np.ones(4), params, 0) == pytest.approx(np.log(1 / 3), abs=1e-12)
+        # gap 1 under mu 0, sigma 1 leaves the constant time term
+        mark_term = one_event_ll(1.0, mark=0) + 0.5 * LOG_2PI
+        assert mark_term == pytest.approx(np.log(1 / 3), abs=1e-12)
 
     def test_mark_log_prob_bias_shift_invariance(self, rng):
-        cfg, params = make_model(seed=9)
-        state = rng.normal(size=4)
-        before = mtpp.mark_log_prob(state, params, 2)
-        params.arrays["b_mark_head"] = params.arrays["b_mark_head"] + 5.0
-        assert mtpp.mark_log_prob(state, params, 2) == pytest.approx(before, abs=1e-12)
+        bias = rng.normal(size=3)
+        before = one_event_ll(1.0, mark=2, mark_bias=bias)
+        assert one_event_ll(1.0, mark=2, mark_bias=bias + 5.0) == pytest.approx(before, abs=1e-12)
 
     def test_mark_out_of_range(self):
-        cfg, params = make_model()
         with pytest.raises(ValueError):
-            mtpp.mark_log_prob(np.ones(4), params, 3)
+            one_event_ll(1.0, mark=3)
 
 
 class TestLikelihood:
@@ -285,33 +323,6 @@ class TestLikelihood:
         ll = mtpp.sequence_log_likelihood(seq3(), params)
         assert isinstance(ll, ad.Value)
         assert isinstance(ll.tape, ad.Tape)
-
-
-class TestSampling:
-    def test_gap_mean_matches_lognormal(self):
-        cfg, params = make_model()
-        # Zero the head so (mu, sigma) are the biases: mu=0, sigma=0.5.
-        params.arrays["W_time_head"] = np.zeros((2, 4))
-        params.arrays["b_time_head"] = np.array([0.0, np.log(0.5)])
-        rng = np.random.default_rng(42)
-        gaps = np.array([mtpp.sample_next_event(np.ones(4), params, rng)[0] for _ in range(100_000)])
-        expect = np.exp(0.5**2 / 2)
-        assert gaps.mean() == pytest.approx(expect, rel=0.01)
-
-    def test_mark_frequencies_match_head(self):
-        cfg, params = make_model()
-        params.arrays["W_mark_head"] = np.zeros((3, 4))
-        params.arrays["b_mark_head"] = np.log(np.array([0.5, 0.3, 0.2]))
-        rng = np.random.default_rng(43)
-        marks = np.array([mtpp.sample_next_event(np.ones(4), params, rng)[1] for _ in range(20_000)])
-        freq = np.bincount(marks, minlength=3) / marks.size
-        np.testing.assert_allclose(freq, [0.5, 0.3, 0.2], atol=0.015)
-
-    def test_deterministic_given_seed(self):
-        cfg, params = make_model(seed=2)
-        a = mtpp.sample_next_event(np.ones(4), params, np.random.default_rng(9))
-        b = mtpp.sample_next_event(np.ones(4), params, np.random.default_rng(9))
-        assert a == b
 
 
 class TestParamsAndCheckpoint:

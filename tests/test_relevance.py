@@ -10,9 +10,7 @@ from seqret import autodiff as ad
 from seqret import mtpp, relevance
 from seqret.mtpp import ModelConfig, ModelParams
 from seqret.relevance import (
-    FisherConfig,
     VanishingGradientError,
-    empirical_diagonal,
     fisher_kernel,
     fisher_vector,
     mark_distance,
@@ -123,13 +121,6 @@ class TestUnitVector:
         g = rng.normal(size=10)
         np.testing.assert_allclose(unit_vector(g), unit_vector(3.7 * g), rtol=1e-12)
 
-    def test_known_preconditioned_case(self):
-        # raw [2, 2], diagonal [4, 1], no damping: preconditioned [1, 2].
-        cfg = FisherConfig(mode="empirical", damping=0.0, diag=np.array([4.0, 1.0]))
-        pre = relevance._precondition(np.array([2.0, 2.0]), cfg)
-        np.testing.assert_allclose(pre, [1.0, 2.0], rtol=1e-12)
-        np.testing.assert_allclose(unit_vector(pre), np.array([1.0, 2.0]) / np.sqrt(5), rtol=1e-12)
-
     def test_vanishing_raises(self):
         with pytest.raises(VanishingGradientError):
             unit_vector(np.zeros(4))
@@ -147,20 +138,6 @@ class TestFisherVector:
         monkeypatch.setattr(mtpp, "grad_log_likelihood", lambda *a, **k: np.zeros(params.n_params))
         with pytest.raises(VanishingGradientError):
             fisher_vector(random_sequence(rng), params)
-
-    def test_empirical_mode_still_unit_norm(self, rng):
-        params = make_model(seed=4)
-        seqs = [random_sequence(rng, seq_id=f"s{i}") for i in range(5)]
-        diag = empirical_diagonal(seqs, params)
-        assert diag.shape == (params.n_params,)
-        assert (diag >= 0).all()
-        cfg = FisherConfig(mode="empirical", diag=diag)
-        v = fisher_vector(seqs[0], params, config=cfg)
-        assert abs(np.linalg.norm(v.vector) - 1.0) < 1e-9
-
-    def test_empirical_mode_requires_diag(self):
-        with pytest.raises(ValueError):
-            FisherConfig(mode="empirical")
 
 
 class TestFisherKernel:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seqret import retrieval as rt
 from seqret.hashing import HashConfig, HashIndex, HashNetParams, HashEncoder, build_index
 from seqret.mtpp import ModelConfig, ModelParams
-from seqret.relevance import FisherConfig, VanishingGradientError, relevance_score
+from seqret.relevance import VanishingGradientError, relevance_score
 from seqret.sequences import EventSequence, RelevanceJudgments
 from seqret.unwarp import UnwarpConfig, UnwarpParams
 
@@ -92,7 +92,6 @@ def small_pipeline(rng):
     score_params, index_params, unwarp = make_models(rng)
     config = rt.PipelineConfig(
         hash=HashConfig(n_bits=4, hidden=8, epochs=5, tables=3, bits_per_table=2, seed=3),
-        threads=1,
     )
     pipeline = rt.build_pipeline(corpus, score_params, unwarp, index_params, unwarp, config)
     return pipeline, corpus
@@ -141,10 +140,10 @@ class TestScoring:
         score_params, _, unwarp = make_models(rng)
         real = rt.fisher_vector
 
-        def flaky(seq, params, conditioning=None, config=None):
+        def flaky(seq, params, conditioning=None):
             if seq.id == "c01":
                 raise VanishingGradientError("forced")
-            return real(seq, params, conditioning=conditioning, config=config)
+            return real(seq, params, conditioning=conditioning)
 
         monkeypatch.setattr(rt, "fisher_vector", flaky)
         query = random_sequence(rng, seq_id="q")
@@ -163,23 +162,15 @@ class TestCorpusVectors:
         for vec in vectors.values():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
-    def test_threaded_matches_serial(self, rng):
-        corpus = make_corpus(rng, n=6)
-        _, index_params, _ = make_models(rng)
-        serial, _ = rt.corpus_fisher_vectors(corpus, index_params, threads=1)
-        threaded, _ = rt.corpus_fisher_vectors(corpus, index_params, threads=4)
-        for cid in corpus:
-            np.testing.assert_array_equal(serial[cid], threaded[cid])
-
     def test_vanishing_member_excluded(self, rng, monkeypatch):
         corpus = make_corpus(rng, n=4)
         _, index_params, _ = make_models(rng)
         real = rt.fisher_vector
 
-        def flaky(seq, params, conditioning=None, config=None):
+        def flaky(seq, params, conditioning=None):
             if seq.id == "c02":
                 raise VanishingGradientError("forced")
-            return real(seq, params, conditioning=conditioning, config=config)
+            return real(seq, params, conditioning=conditioning)
 
         monkeypatch.setattr(rt, "fisher_vector", flaky)
         with pytest.warns(UserWarning, match="c02"):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from seqret import autodiff as ad
 from seqret import trainer as tr
 from seqret.mtpp import ModelParams
 from seqret.sequences import RelevanceJudgments
-from seqret.unwarp import UnwarpParams, unwarp_sequence
+from seqret.unwarp import UnwarpParams, unbiasedness_penalty_graph, unwarp_sequence
 
 from conftest import assert_grad_close, fd_gradient, random_sequence
 
@@ -168,8 +169,9 @@ class TestEpochLoss:
                              micro_config(unbias_weight=0.0))
         weighted = tr.epoch_loss(queries, corpus, pairs, params, unwarp,
                                  micro_config(unbias_weight=2.0))
-        from seqret.unwarp import unbiasedness_penalty
-        penalty = unbiasedness_penalty(unwarp, queries["q0"].horizon)
+        tape = ad.Tape()
+        penalty = unbiasedness_penalty_graph(unwarp.leaves(tape), unwarp.config,
+                                             queries["q0"].horizon, tape).item()
         assert weighted.value.item() == pytest.approx(
             base.value.item() + 2.0 * penalty, rel=1e-8)
 

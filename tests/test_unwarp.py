@@ -1,5 +1,8 @@
 """Monotone unwarping: exact identity, quadrature on known rates,
-order preservation, and the train-mode regularizer/noise semantics."""
+order preservation, the train-mode regularizer/noise semantics, and the
+eval functions as evaluations of the taped builder."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +21,29 @@ def small_config(**kw):
     return uw.UnwarpConfig(**defaults)
 
 
+def rate(tau, p):
+    """The rate u at ``tau`` as the unwarp graph builds it."""
+    tape = ad.Tape()
+    return uw._rate_graph(np.asarray(tau, dtype=float), p.leaves(tape), tape, p.rate_hook).data
+
+
+def penalty(p, T):
+    tape = ad.Tape()
+    return uw.unbiasedness_penalty_graph(p.leaves(tape), p.config, T, tape).item()
+
+
+def oracle_rate(tau, p):
+    """Plain-numpy rate network, independent of the tape."""
+    a = p.arrays
+    h1 = np.maximum(np.outer(tau, a["w1"]) + a["b1"], 0.0)
+    h2 = np.maximum(h1 @ a["W2"].T + a["b2"], 0.0)
+    return np.maximum(h2 @ a["w3"] + a["b3"], 0.0)
+
+
 class TestIdentity:
     def test_rate_is_one(self):
         p = uw.UnwarpParams.identity(small_config())
-        np.testing.assert_array_equal(uw.u_rate([0.0, 1.0, 7.5], p), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(rate([0.0, 1.0, 7.5], p), [1.0, 1.0, 1.0])
 
     def test_unwarp_is_exact_identity(self):
         p = uw.UnwarpParams.identity(small_config())
@@ -30,7 +52,7 @@ class TestIdentity:
 
     def test_penalty_zero(self):
         p = uw.UnwarpParams.identity(small_config())
-        assert uw.unbiasedness_penalty(p, T=5.0) == pytest.approx(0.0, abs=1e-15)
+        assert penalty(p, T=5.0) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestKnownRates:
@@ -45,7 +67,7 @@ class TestKnownRates:
     def test_hook_is_clamped_nonnegative(self):
         p = uw.UnwarpParams.identity(small_config())
         p.rate_hook = lambda t: -np.ones_like(t)
-        assert (uw.u_rate([0.5, 2.0], p) == 0.0).all()
+        assert (rate([0.5, 2.0], p) == 0.0).all()
         # a dead rate collapses every time; ties are separated and flagged
         with pytest.warns(UserWarning, match="tied times"):
             assert uw.unwarp_time(3.0, p) == uw.TIE_EPS
@@ -79,16 +101,16 @@ class TestKnownRates:
         p.arrays["b3"] = np.asarray(2.0)
         assert uw.unwarp_time(3.0, p) == pytest.approx(6.0, abs=1e-9)
         # (u - 1)^2 = 1 over [0, T]: penalty T / sigma^2.
-        assert uw.unbiasedness_penalty(p, T=1.0) == pytest.approx(1.0, abs=1e-12)
+        assert penalty(p, T=1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rate_penalty(self):
         p = uw.UnwarpParams.identity(small_config())
         p.arrays["b3"] = np.asarray(0.0)
-        assert uw.unbiasedness_penalty(p, T=1.0) == pytest.approx(1.0, abs=1e-12)
+        assert penalty(p, T=1.0) == pytest.approx(1.0, abs=1e-12)
         cfg = small_config(unbias_sigma=0.5)
         p2 = uw.UnwarpParams.identity(cfg)
         p2.arrays["b3"] = np.asarray(0.0)
-        assert uw.unbiasedness_penalty(p2, T=2.0) == pytest.approx(8.0, abs=1e-12)
+        assert penalty(p2, T=2.0) == pytest.approx(8.0, abs=1e-12)
 
 
 class TestMonotonicity:
@@ -103,20 +125,17 @@ class TestMonotonicity:
 
     def test_rate_nonnegative(self, rng):
         p = uw.UnwarpParams.init(small_config(), rng, scale=1.0)
-        assert (uw.u_rate(rng.uniform(0, 20, size=50), p) >= 0.0).all()
-
-    def test_unsorted_input_mapped_in_place(self, rng):
-        p = uw.UnwarpParams.init(small_config(), rng, scale=0.5)
-        times = np.array([3.0, 0.5, 1.7])
-        out = uw.unwarp_times(times, p)
-        out_sorted = uw.unwarp_times(np.sort(times), p)
-        np.testing.assert_allclose(np.sort(out), out_sorted, rtol=1e-12)
-        assert np.argsort(out).tolist() == np.argsort(times).tolist()
+        assert (rate(rng.uniform(0, 20, size=50), p) >= 0.0).all()
 
     def test_negative_time_rejected(self, rng):
         p = uw.UnwarpParams.identity(small_config())
         with pytest.raises(ValueError):
             uw.unwarp_times(np.array([-0.1]), p)
+
+    def test_unsorted_input_rejected(self):
+        p = uw.UnwarpParams.identity(small_config())
+        with pytest.raises(ValueError, match="sorted"):
+            uw.unwarp_times(np.array([3.0, 0.5, 1.7]), p)
 
 
 class TestNoise:
@@ -126,20 +145,14 @@ class TestNoise:
         np.testing.assert_array_equal(uw.unwarp_times(times, p), uw.unwarp_times(times, p))
 
     def test_train_noise_is_shared_shift(self, rng):
-        p = uw.UnwarpParams.init(small_config(noise_sigma=0.1), rng)
+        cfg = small_config(noise_sigma=0.1)
+        p = uw.UnwarpParams.init(cfg, rng)
         times = np.array([0.5, 1.5, 4.0])
-        base = uw.unwarp_times(times, p)
-        noisy = uw.unwarp_times(times, p, rng=np.random.default_rng(0))
-        shifts = noisy - base
-        np.testing.assert_allclose(shifts, shifts[0])
-        assert abs(shifts[0]) > 0
-
-    def test_noise_draw_depends_on_rng(self, rng):
-        p = uw.UnwarpParams.init(small_config(noise_sigma=0.1), rng)
-        t = np.array([1.0])
-        a = uw.unwarp_times(t, p, rng=np.random.default_rng(1))
-        b = uw.unwarp_times(t, p, rng=np.random.default_rng(2))
-        assert a != b
+        tape = ad.Tape()
+        phi = p.leaves(tape)
+        base = uw.unwarp_times_graph(times, phi, cfg, tape).data
+        noisy = uw.unwarp_times_graph(times, phi, cfg, tape, noise=0.03).data
+        np.testing.assert_allclose(noisy - base, 0.03, rtol=1e-12)
 
 
 class TestSequenceView:
@@ -167,7 +180,29 @@ class TestGraphPath:
         times = np.array([0.4, 1.1, 2.9])
         tape = ad.Tape()
         out = uw.unwarp_times_graph(times, p.leaves(tape), cfg, tape)
-        np.testing.assert_allclose(out.data, uw.unwarp_times(times, p), rtol=1e-12)
+        np.testing.assert_array_equal(out.data, uw.unwarp_times(times, p))
+
+    @pytest.mark.parametrize("case", ["duplicate_times", "dead_rate", "horizon_at_last_event"])
+    def test_eval_equals_graph_exactly(self, case, rng):
+        # eval mode evaluates the training builder: same values, same tie rule
+        cfg = small_config()
+        p = uw.UnwarpParams.init(cfg, rng, scale=0.3)
+        times = np.array([0.4, 1.1, 2.9, 3.5])
+        if case == "duplicate_times":
+            times = np.array([0.4, 1.1, 1.1, 2.9])
+        elif case == "dead_rate":
+            p = uw.UnwarpParams.identity(cfg)
+            p.arrays["b3"] = np.asarray(-1.0)
+        else:
+            times = np.append(times, times[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dead rate warns about its ties
+            got = uw.unwarp_times(times, p)
+        tape = ad.Tape()
+        want = uw.unwarp_times_graph(times, p.leaves(tape), cfg, tape).data
+        np.testing.assert_array_equal(got, want)
+        if case != "dead_rate":
+            assert got[-1] > 0.0 and (np.diff(got)[np.diff(times) == 0.0] == 0.0).all()
 
     def test_graph_separates_dead_rate_ties(self):
         # rate relu(0*h + b3) with b3 = -1 is identically zero; the graph
@@ -186,7 +221,10 @@ class TestGraphPath:
         p = uw.UnwarpParams.init(cfg, rng, scale=0.3)
         tape = ad.Tape()
         pen = uw.unbiasedness_penalty_graph(p.leaves(tape), cfg, T=3.0, tape=tape)
-        assert pen.item() == pytest.approx(uw.unbiasedness_penalty(p, 3.0), rel=1e-12)
+        grid = np.linspace(0.0, 3.0, cfg.n_quad + 1)
+        dev = (oracle_rate(grid, p) - 1.0) ** 2
+        want = np.sum((dev[1:] + dev[:-1]) / 2 * np.diff(grid)) / cfg.unbias_sigma**2
+        assert pen.item() == pytest.approx(want, rel=1e-12)
 
     def test_gradient_matches_fd(self):
         # Parameters chosen so every ReLU input stays well away from its
@@ -201,7 +239,7 @@ class TestGraphPath:
         p.arrays["b3"] = np.asarray(0.8)
         times = np.array([0.7, 2.3])
         taus = np.linspace(0, times[-1], 200)
-        assert (uw.u_rate(taus, p) > 0.05).all()  # kink-free margin
+        assert (rate(taus, p) > 0.05).all()  # kink-free margin
         flat0 = p.flatten()
 
         def f(flat):
