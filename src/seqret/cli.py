@@ -4,7 +4,9 @@ Every subcommand accepts --config FILE with one key=value per line
 (keys are the long flag names with underscores); explicit flags win
 over file values, and required path flags always go on the command
 line.  Failures print a single machine-parseable line
-``error\t<type>\t<message>`` to stderr and exit with status 1.
+``error\t<type>\t<message>`` to stderr and exit with status 1.  ``query``
+writes each query it cannot rank as ``query_id\t<type>\t<message>`` to
+``failures.tsv`` and fails only when every query does.
 
 Randomness flows from one --seed per command.  gen spawns a child
 stream per base; train spawns, in order, init / pair sampling / noise /
@@ -15,16 +17,16 @@ eval uses the seed for negative pooling.
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 import time
 from pathlib import Path
 
 from . import datagen, retrieval, trainer
 from ._opt import TrainingDivergedError
+from .artifact import ArtifactError
 from .autodiff import DomainError
 from .hashing import HashConfig, build_index, load_encoder, load_index, save_encoder, save_index
-from .mtpp import load_checkpoint, save_checkpoint
+from .mtpp import checkpoint_sha256, load_checkpoint, save_checkpoint
 from .relevance import VanishingGradientError
 from .sequences import (
     CorpusFormatError,
@@ -37,8 +39,7 @@ from .sequences import (
 
 __all__ = ["main"]
 
-# struct.error: a truncated binary artifact (checkpoint, vectors, encoder, index)
-_ERRORS = (ValueError, KeyError, OSError, struct.error, CorpusFormatError,
+_ERRORS = (ValueError, KeyError, OSError, CorpusFormatError,
            TrainingDivergedError, DomainError, VanishingGradientError)
 
 
@@ -204,6 +205,7 @@ def _run_train(args) -> int:
     corpus = load_corpus(args.corpus, mark_count=args.marks)
     queries = load_corpus(args.queries, mark_count=args.marks)
     judgments = load_judgments(args.judgments)
+    judgments.validate_ids(queries, corpus)
     fractions = _parse_range(args.split, float, parts=3)
     split = split_queries(sorted(queries), fractions, seed=args.seed)
     config = trainer.TrainConfig(
@@ -308,6 +310,9 @@ def _load_pipeline(args) -> retrieval.Pipeline:
     corpus = load_corpus(args.corpus, mark_count=score_params.config.mark_count)
     encoder = load_encoder(args.encoder)
     index = load_index(args.index)
+    if index.model_sha256 != checkpoint_sha256(index_params, index_unwarp):
+        raise ArtifactError(f"{args.index}: built from a different model than "
+                            f"{args.index_checkpoint}")
     missing = [cid for cid in index.corpus_ids if cid not in corpus]
     if missing:
         raise ValueError(f"index references {len(missing)} sequences missing from "
@@ -336,14 +341,24 @@ def _run_query(args) -> int:
     pipeline = _load_pipeline(args)
     queries = load_corpus(args.queries,
                           mark_count=pipeline.score_params.config.mark_count)
-    results = [retrieval.query_topk(pipeline, queries[qid], k=args.k,
-                                    exhaustive=args.exhaustive)
-               for qid in sorted(queries)]
+    results, failures = [], []
+    for qid in sorted(queries):
+        try:
+            results.append(retrieval.query_topk(pipeline, queries[qid], k=args.k,
+                                                exhaustive=args.exhaustive))
+        except _ERRORS as err:
+            failures.append(f"{qid}\t{type(err).__name__}\t{err}\n")
     out = _out_dir(args)
     retrieval.write_results(out / "results.tsv", results)
+    failed = out / "failures.tsv"
+    failed.unlink(missing_ok=True)
+    if failures:
+        failed.write_text("".join(failures), encoding="utf-8")
     fallbacks = sum(r.fallback for r in results)
-    print(f"ranked {len(results)} queries ({fallbacks} fallbacks) "
-          f"into {out / 'results.tsv'}")
+    print(f"ranked {len(results)} queries ({fallbacks} fallbacks, {len(failures)} "
+          f"failed) into {out / 'results.tsv'}")
+    if failures and not results:
+        raise ValueError(f"all {len(failures)} queries failed; reasons in {failed}")
     return 0
 
 
@@ -359,28 +374,37 @@ def _read_split_role(path: str, role: str) -> list[str]:
     return ids
 
 
-def _add_eval(sub) -> None:
-    p = sub.add_parser("eval", help="pooled retrieval quality on test queries",
-                       allow_abbrev=False)
+def _eval_flags(p) -> None:
     _shared(p)
     _pipeline_flags(p)
     p.add_argument("--queries", required=True, help="query JSONL")
     p.add_argument("--judgments", required=True, help="judgments TSV")
     p.add_argument("--split-file", help="split.tsv from train; evaluates the test role")
+
+
+def _eval_inputs(args):
+    """Pipeline, queries, judgments (checked against both) and test ids."""
+    pipeline = _load_pipeline(args)
+    queries = load_corpus(args.queries,
+                          mark_count=pipeline.score_params.config.mark_count)
+    judgments = load_judgments(args.judgments)
+    judgments.validate_ids(queries, [*pipeline.corpus, *pipeline.excluded])
+    if args.split_file:
+        return pipeline, queries, judgments, _read_split_role(args.split_file, "test")
+    return pipeline, queries, judgments, sorted(queries)
+
+
+def _add_eval(sub) -> None:
+    p = sub.add_parser("eval", help="pooled retrieval quality on test queries",
+                       allow_abbrev=False)
+    _eval_flags(p)
     p.add_argument("--pool-negatives", type=int, default=100,
                    help="sampled negatives per query pool")
     p.add_argument("--mode", default="both", choices=("hashed", "exhaustive", "both"))
 
 
 def _run_eval(args) -> int:
-    pipeline = _load_pipeline(args)
-    queries = load_corpus(args.queries,
-                          mark_count=pipeline.score_params.config.mark_count)
-    judgments = load_judgments(args.judgments)
-    if args.split_file:
-        test_ids = _read_split_role(args.split_file, "test")
-    else:
-        test_ids = sorted(queries)
+    pipeline, queries, judgments, test_ids = _eval_inputs(args)
     out = _out_dir(args)
     modes = ("hashed", "exhaustive") if args.mode == "both" else (args.mode,)
     for mode in modes:
@@ -401,11 +425,7 @@ def _add_bench(sub) -> None:
     p = sub.add_parser("bench",
                        help="reduction/quality tradeoff across index geometries",
                        allow_abbrev=False)
-    _shared(p)
-    _pipeline_flags(p)
-    p.add_argument("--queries", required=True, help="query JSONL")
-    p.add_argument("--judgments", required=True, help="judgments TSV")
-    p.add_argument("--split-file", help="split.tsv from train; evaluates the test role")
+    _eval_flags(p)
     p.add_argument("--vectors", required=True, help="vectors.bin from `index`")
     p.add_argument("--pool-negatives", type=int, default=100)
     p.add_argument("--tables", type=int, default=10, help="hash tables per geometry")
@@ -414,33 +434,21 @@ def _add_bench(sub) -> None:
 
 
 def _run_bench(args) -> int:
-    pipeline = _load_pipeline(args)
-    queries = load_corpus(args.queries,
-                          mark_count=pipeline.score_params.config.mark_count)
-    judgments = load_judgments(args.judgments)
+    pipeline, queries, judgments, test_ids = _eval_inputs(args)
     vectors = retrieval.load_vectors(args.vectors)
-    if args.split_file:
-        test_ids = _read_split_role(args.split_file, "test")
-    else:
-        test_ids = sorted(queries)
     codes = {cid: pipeline.encoder.encode(vec) for cid, vec in sorted(vectors.items())}
     grid = [int(v) for v in args.bits_grid.split(":")]
     out = _out_dir(args)
     rows = []
-    start = time.perf_counter()
-    report, _ = retrieval.evaluate_protocol(pipeline, queries, judgments, test_ids,
-                                            pool_negatives=args.pool_negatives,
-                                            seed=args.seed, exhaustive=True)
-    rows.append(("-", report.reduction, report.ndcg[10], report.map,
-                 time.perf_counter() - start))
-    for bits in grid:
-        pipeline.index = build_index(codes, args.tables, bits, args.seed)
+    for bits in [None, *grid]:  # None: the exhaustive reference row
+        if bits is not None:
+            pipeline.index = build_index(codes, args.tables, bits, args.seed)
         start = time.perf_counter()
         report, _ = retrieval.evaluate_protocol(pipeline, queries, judgments, test_ids,
                                                 pool_negatives=args.pool_negatives,
-                                                seed=args.seed)
-        rows.append((str(bits), report.reduction, report.ndcg[10], report.map,
-                     time.perf_counter() - start))
+                                                seed=args.seed, exhaustive=bits is None)
+        rows.append(("-" if bits is None else str(bits), report.reduction,
+                     report.ndcg[10], report.map, time.perf_counter() - start))
     header = "bits_per_table\treduction\tndcg@10\tmap\tseconds"
     print(header)
     with open(out / "tradeoff.tsv", "w", encoding="utf-8") as fh:

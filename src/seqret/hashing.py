@@ -6,17 +6,20 @@ saturated, and decorrelated) or by fixed random hyperplanes.  The index
 slices each code at ``tables`` random subsets of ``bits_per_table`` bit
 positions; a query's candidates are the union of its buckets across
 tables, so adding tables only ever grows recall.
+
+An index file stores the inputs of its tables (ids, codes, bit positions,
+seed); loading rebuilds the tables with the code that built them.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from ._opt import AdamState, adam_update
+from .artifact import read_record, write_record
 from .autodiff import Tape, Value
 
 __all__ = [
@@ -39,9 +42,6 @@ __all__ = [
     "save_index",
     "load_index",
 ]
-
-_ENCODER_MAGIC = b"SEQRHSH1"
-_INDEX_MAGIC = b"SEQRIDX1"
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,6 @@ class HashNetParams:
             "b2": np.zeros(n_bits),
         }
         return cls(arrays, in_dim, n_bits, hidden)
-
-    def copy(self) -> "HashNetParams":
-        return HashNetParams({k: v.copy() for k, v in self.arrays.items()},
-                             self.in_dim, self.n_bits, self.hidden)
 
     def leaves(self, tape: Tape) -> dict[str, Value]:
         return {name: tape.leaf(self.arrays[name], name=name) for name in self.NAMES}
@@ -238,12 +234,6 @@ class HashEncoder:
         if self.kind == "random" and self.hyperplanes is None:
             raise ValueError("random encoder needs hyperplanes")
 
-    @property
-    def n_bits(self) -> int:
-        if self.kind == "trained":
-            return self.psi.n_bits
-        return self.hyperplanes.shape[0]
-
     def encode(self, vector: np.ndarray) -> np.ndarray:
         if self.kind == "trained":
             return hash_code(vector, self.psi)
@@ -260,18 +250,32 @@ class HashIndex:
     buckets: list[dict[int, list[str]]]
     seed: int
     corpus_ids: list[str] = field(default_factory=list)
+    codes: np.ndarray | None = None  # (len(corpus_ids), n_bits) int8 sign codes
+    model_sha256: str = ""  # mtpp.checkpoint_sha256 of the coded model, if known
+
+
+def _bucket_keys(codes, positions) -> np.ndarray:
+    """Keys of the code bits at ``positions`` (last axis of both): a +1 bit
+    reads as 1 and the first (lowest) position is the most significant."""
+    positions = np.asarray(positions)
+    weights = 1 << np.arange(positions.shape[-1] - 1, -1, -1)
+    return (np.asarray(codes)[..., positions] > 0) @ weights
 
 
 def bucket_key(code: np.ndarray, positions: np.ndarray) -> int:
-    """Bucket id from the code bits at ``positions`` (ascending order).
+    """Bucket id of one code in the table slicing ``positions`` (ascending)."""
+    return int(_bucket_keys(code, positions))
 
-    The bit at the first (lowest) position is the most significant.  A +1
-    code bit contributes a 1.
-    """
-    key = 0
-    for pos in positions:
-        key = (key << 1) | (1 if code[pos] > 0 else 0)
-    return key
+
+def _bucket_tables(codes: np.ndarray, ids: list[str],
+                   positions: np.ndarray) -> list[dict[int, list[str]]]:
+    tables: list[dict[int, list[str]]] = []
+    for row in positions:
+        table: dict[int, list[str]] = {}
+        for cid, key in zip(ids, _bucket_keys(codes, row).tolist()):
+            table.setdefault(key, []).append(cid)
+        tables.append(table)
+    return tables
 
 
 def build_index(codes: dict[str, np.ndarray], tables: int, bits_per_table: int,
@@ -281,138 +285,62 @@ def build_index(codes: dict[str, np.ndarray], tables: int, bits_per_table: int,
     n_bits = len(next(iter(codes.values())))
     if bits_per_table > n_bits:
         raise ValueError(f"bits_per_table {bits_per_table} exceeds code width {n_bits}")
+    if bits_per_table > 63:
+        raise ValueError(f"bits_per_table {bits_per_table} exceeds the 63-bit key limit")
     rng = np.random.default_rng(seed)
     positions = np.stack([
         np.sort(rng.choice(n_bits, size=bits_per_table, replace=False))
         for _ in range(tables)
     ])
     ids = sorted(codes)
-    buckets: list[dict[int, list[str]]] = []
-    for t in range(tables):
-        table: dict[int, list[str]] = {}
-        for cid in ids:
-            if len(codes[cid]) != n_bits:
-                raise ValueError(f"code width mismatch for sequence {cid!r}")
-            table.setdefault(bucket_key(codes[cid], positions[t]), []).append(cid)
-        buckets.append(table)
-    return HashIndex(n_bits=n_bits, positions=positions, buckets=buckets,
-                     seed=seed, corpus_ids=ids)
+    for cid in ids:
+        if len(codes[cid]) != n_bits:
+            raise ValueError(f"code width mismatch for sequence {cid!r}")
+    matrix = np.where(np.stack([codes[cid] for cid in ids]) > 0, 1, -1).astype(np.int8)
+    return HashIndex(n_bits=n_bits, positions=positions,
+                     buckets=_bucket_tables(matrix, ids, positions),
+                     seed=seed, corpus_ids=ids, codes=matrix)
 
 
 def candidate_lookup(index: HashIndex, code: np.ndarray) -> list[str]:
     """Union of the query's buckets across tables, sorted for determinism."""
     found: set[str] = set()
-    for t in range(len(index.buckets)):
-        found.update(index.buckets[t].get(bucket_key(code, index.positions[t]), ()))
+    for table, key in zip(index.buckets, _bucket_keys(code, index.positions).tolist()):
+        found.update(table.get(key, ()))
     return sorted(found)
 
 
-def _write_array(out: list[bytes], arr: np.ndarray) -> None:
-    out.append(struct.pack("<Q", arr.size))
-    out.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _read_array(buf: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    (size,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf, dtype="<f8", count=size, offset=offset).reshape(shape).copy()
-    return arr, offset + 8 * size
-
-
 def save_encoder(path: str, encoder: HashEncoder) -> None:
-    out: list[bytes] = [_ENCODER_MAGIC]
     if encoder.kind == "random":
-        planes = encoder.hyperplanes
-        out.append(struct.pack("<BII", 0, planes.shape[0], planes.shape[1]))
-        _write_array(out, planes)
+        arrays = {"hyperplanes": encoder.hyperplanes}
     else:
-        psi = encoder.psi
-        out.append(struct.pack("<BII", 1, psi.n_bits, psi.in_dim))
-        out.append(struct.pack("<I", psi.hidden))
-        for name in HashNetParams.NAMES:
-            _write_array(out, psi.arrays[name])
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+        arrays = {name: encoder.psi.arrays[name] for name in HashNetParams.NAMES}
+    write_record(path, "encoder", {"encoder": encoder.kind},
+                 {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()})
 
 
 def load_encoder(path: str) -> HashEncoder:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:8] != _ENCODER_MAGIC:
-        raise ValueError("not an encoder file")
-    kind, n_bits, in_dim = struct.unpack_from("<BII", buf, 8)
-    offset = 8 + 9
-    if kind == 0:
-        planes, _ = _read_array(buf, offset, (n_bits, in_dim))
-        return HashEncoder(kind="random", hyperplanes=planes)
-    (hidden,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    shapes = {"W1": (hidden, in_dim), "b1": (hidden,), "W2": (n_bits, hidden), "b2": (n_bits,)}
-    arrays = {}
-    for name in HashNetParams.NAMES:
-        arrays[name], offset = _read_array(buf, offset, shapes[name])
-    return HashEncoder(kind="trained", psi=HashNetParams(arrays, in_dim, n_bits, hidden))
+    meta, arrays = read_record(path, "encoder")
+    if meta["encoder"] == "random":
+        return HashEncoder(kind="random", hyperplanes=arrays["hyperplanes"])
+    hidden, in_dim = arrays["W1"].shape
+    psi = HashNetParams(arrays, in_dim=in_dim, n_bits=arrays["W2"].shape[0], hidden=hidden)
+    return HashEncoder(kind=meta["encoder"], psi=psi)
 
 
 def save_index(path: str, index: HashIndex) -> None:
-    """Binary index layout (little-endian):
-
-    magic, u32 n_bits, u32 tables, u32 bits_per_table, u64 seed,
-    u32 id count then per id (u16 length, utf-8 bytes), then per table
-    bits_per_table u16 positions followed by u32 bucket count and per
-    bucket (u64 key, u32 size, u32 id indices).
-    """
-    tables = len(index.buckets)
-    out: list[bytes] = [_INDEX_MAGIC,
-                        struct.pack("<IIIq", index.n_bits, tables,
-                                    index.positions.shape[1], index.seed)]
-    id_pos = {cid: i for i, cid in enumerate(index.corpus_ids)}
-    out.append(struct.pack("<I", len(index.corpus_ids)))
-    for cid in index.corpus_ids:
-        raw = cid.encode("utf-8")
-        out.append(struct.pack("<H", len(raw)))
-        out.append(raw)
-    for t in range(tables):
-        out.append(struct.pack(f"<{index.positions.shape[1]}H", *index.positions[t]))
-        table = index.buckets[t]
-        out.append(struct.pack("<I", len(table)))
-        for key in sorted(table):
-            members = table[key]
-            out.append(struct.pack("<QI", key, len(members)))
-            out.append(struct.pack(f"<{len(members)}I", *(id_pos[c] for c in members)))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    if index.codes is None:
+        raise ValueError("index has no codes to save")
+    meta = {"corpus_ids": list(index.corpus_ids), "model_sha256": index.model_sha256,
+            "seed": int(index.seed)}
+    write_record(path, "index", meta,
+                 {"codes": np.asarray(index.codes, dtype=np.int8),
+                  "positions": np.asarray(index.positions, dtype="<i8")})
 
 
 def load_index(path: str) -> HashIndex:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:8] != _INDEX_MAGIC:
-        raise ValueError("not an index file")
-    n_bits, tables, bits_per_table, seed = struct.unpack_from("<IIIq", buf, 8)
-    offset = 8 + 20
-    (n_ids,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    ids: list[str] = []
-    for _ in range(n_ids):
-        (length,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        ids.append(buf[offset:offset + length].decode("utf-8"))
-        offset += length
-    positions = np.zeros((tables, bits_per_table), dtype=int)
-    buckets: list[dict[int, list[str]]] = []
-    for t in range(tables):
-        positions[t] = struct.unpack_from(f"<{bits_per_table}H", buf, offset)
-        offset += 2 * bits_per_table
-        (n_buckets,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        table: dict[int, list[str]] = {}
-        for _ in range(n_buckets):
-            key, size = struct.unpack_from("<QI", buf, offset)
-            offset += 12
-            members = struct.unpack_from(f"<{size}I", buf, offset)
-            offset += 4 * size
-            table[key] = [ids[i] for i in members]
-        buckets.append(table)
-    return HashIndex(n_bits=n_bits, positions=positions, buckets=buckets,
-                     seed=seed, corpus_ids=ids)
+    meta, arrays = read_record(path, "index")
+    codes, positions, ids = arrays["codes"], arrays["positions"], meta["corpus_ids"]
+    return HashIndex(n_bits=codes.shape[1], positions=positions,
+                     buckets=_bucket_tables(codes, ids, positions), seed=meta["seed"],
+                     corpus_ids=ids, codes=codes, model_sha256=meta["model_sha256"])

@@ -28,19 +28,20 @@ empty prefix.  The time head maps a state to (mu, log sigma); the mark
 head is a linear softmax.
 
 Parameters flatten to one canonical float64 vector (see ``param_order``);
-gradients and Fisher vectors use that same layout.  Checkpoints embed the
-unwarp parameters next to the model, little-endian layout documented at
-``save_checkpoint``.
+gradients and Fisher vectors use that same layout.  A checkpoint is an
+``artifact`` record holding both configs and the flat model and unwarp
+vectors.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+import hashlib
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import pack_record, read_record, write_record
 from .sequences import EventSequence
 from .unwarp import UnwarpConfig, UnwarpParams
 
@@ -55,6 +56,7 @@ __all__ = [
     "flatten_grad_values",
     "save_checkpoint",
     "load_checkpoint",
+    "checkpoint_sha256",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -306,51 +308,26 @@ def grad_log_likelihood(seq: EventSequence, params: ModelParams,
     return np.concatenate([np.ravel(grads[theta[n]]) for n, _ in param_order(params.config)])
 
 
-# -- checkpoint format --------------------------------------------------------
-#
-#   magic    8 bytes  b"SEQRET01"
-#   variant  u8       0 = self, 1 = cross
-#   dims     5 x u32  dim, n_max, mark_count, num_blocks, n_quad
-#   widths   2 x u32  unwarp hidden widths
-#   sigmas   2 x f64  noise_sigma, unbias_sigma
-#   theta    u64 count, then count f64 (canonical model order)
-#   phi      u64 count, then count f64 (canonical unwarp order)
-#
-# All integers and floats little-endian.
+# -- checkpoints ----------------------------------------------------------------
 
-_MAGIC = b"SEQRET01"
+def _checkpoint_record(params: ModelParams, unwarp: UnwarpParams) -> tuple[dict, dict]:
+    meta = {"model": asdict(params.config), "unwarp": asdict(unwarp.config)}
+    return meta, {"theta": params.flatten(), "phi": unwarp.flatten()}
 
 
 def save_checkpoint(path, params: ModelParams, unwarp: UnwarpParams) -> None:
-    cfg, ucfg = params.config, unwarp.config
-    theta = params.flatten()
-    phi = unwarp.flatten()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", VARIANTS.index(cfg.variant)))
-        fh.write(struct.pack("<5I", cfg.dim, cfg.n_max, cfg.mark_count, cfg.num_blocks, ucfg.n_quad))
-        fh.write(struct.pack("<2I", ucfg.hidden[0], ucfg.hidden[1]))
-        fh.write(struct.pack("<2d", ucfg.noise_sigma, ucfg.unbias_sigma))
-        fh.write(struct.pack("<Q", theta.size))
-        fh.write(theta.astype("<f8").tobytes())
-        fh.write(struct.pack("<Q", phi.size))
-        fh.write(phi.astype("<f8").tobytes())
+    write_record(path, "checkpoint", *_checkpoint_record(params, unwarp))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, UnwarpParams]:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (variant_code,) = struct.unpack("<B", fh.read(1))
-        dim, n_max, mark_count, num_blocks, n_quad = struct.unpack("<5I", fh.read(20))
-        h1, h2 = struct.unpack("<2I", fh.read(8))
-        noise_sigma, unbias_sigma = struct.unpack("<2d", fh.read(16))
-        (n_theta,) = struct.unpack("<Q", fh.read(8))
-        theta = np.frombuffer(fh.read(8 * n_theta), dtype="<f8").astype(np.float64)
-        (n_phi,) = struct.unpack("<Q", fh.read(8))
-        phi = np.frombuffer(fh.read(8 * n_phi), dtype="<f8").astype(np.float64)
-    config = ModelConfig(variant=VARIANTS[variant_code], dim=dim, mark_count=mark_count,
-                         n_max=n_max, num_blocks=num_blocks)
-    ucfg = UnwarpConfig(hidden=(h1, h2), n_quad=n_quad,
-                        noise_sigma=noise_sigma, unbias_sigma=unbias_sigma)
-    return ModelParams.unflatten(config, theta), UnwarpParams.unflatten(ucfg, phi)
+    meta, arrays = read_record(path, "checkpoint")
+    config = ModelConfig(**meta["model"])
+    ucfg = UnwarpConfig(**{**meta["unwarp"], "hidden": tuple(meta["unwarp"]["hidden"])})
+    return (ModelParams.unflatten(config, arrays["theta"]),
+            UnwarpParams.unflatten(ucfg, arrays["phi"]))
+
+
+def checkpoint_sha256(params: ModelParams, unwarp: UnwarpParams) -> str:
+    """SHA-256 of the bytes ``save_checkpoint`` writes for this model."""
+    record = pack_record("checkpoint", *_checkpoint_record(params, unwarp))
+    return hashlib.sha256(record).hexdigest()

@@ -9,23 +9,22 @@ side passes through the unwarp.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifact import read_record, write_record
 from .hashing import (
     HashConfig,
     HashEncoder,
     HashIndex,
-    HashNetParams,
     build_index,
     candidate_lookup,
     random_hyperplane_codes,
     train_hash_net,
 )
-from .mtpp import ModelParams
+from .mtpp import ModelParams, checkpoint_sha256
 from .relevance import VanishingGradientError, fisher_vector, score_pair
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import UnwarpParams, unwarp_sequence
@@ -50,8 +49,6 @@ __all__ = [
     "save_vectors",
     "load_vectors",
 ]
-
-_VECTOR_MAGIC = b"SEQRVEC1"
 
 
 # -- quality metrics ----------------------------------------------------------
@@ -204,12 +201,13 @@ def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
                    score_unwarp: UnwarpParams, index_params: ModelParams,
                    index_unwarp: UnwarpParams, config: PipelineConfig,
                    vectors: dict[str, np.ndarray] | None = None) -> Pipeline:
-    """Extract corpus vectors, fit (or draw) the code encoder, build buckets.
+    """Extract corpus vectors, fit (or draw) the code encoder, build the index.
 
     ``vectors`` short-circuits the extraction when the caller already has
     them (rebuilding an index with different hash settings, for example).
     The hash seed feeds the net init, the hyperplanes, and the bit-position
-    draw through separate spawned streams.
+    draw through separate spawned streams.  The index records the
+    ``checkpoint_sha256`` of the index model.
     """
     if index_params.config.variant != "self":
         raise ValueError("index model must be the self variant")
@@ -231,6 +229,7 @@ def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
         encoder = HashEncoder(kind="random", hyperplanes=planes)
     codes = {cid: encoder.encode(vectors[cid]) for cid in ids}
     index = build_index(codes, config.hash.tables, config.hash.bits_per_table, index_seed)
+    index.model_sha256 = checkpoint_sha256(index_params, index_unwarp)
     scoreable = {cid: seq for cid, seq in corpus.items() if cid in vectors}
     return Pipeline(corpus=scoreable, score_params=score_params,
                     score_unwarp=score_unwarp, index_params=index_params,
@@ -382,35 +381,16 @@ def write_report(path, report: EvalReport) -> None:
 
 
 def save_vectors(path, vectors: dict[str, np.ndarray]) -> None:
-    """Binary vector store: magic, u32 dim, u32 count, then per id a u16
-    length-prefixed utf-8 id and dim little-endian f64 components."""
+    """Vector store: an ``artifact`` record of the sorted ids and one
+    (count, dim) float64 matrix."""
     ids = sorted(vectors)
     dim = len(vectors[ids[0]]) if ids else 0
-    out = [_VECTOR_MAGIC, struct.pack("<II", dim, len(ids))]
-    for cid in ids:
-        raw = cid.encode("utf-8")
-        if len(vectors[cid]) != dim:
-            raise ValueError(f"inconsistent vector length for {cid!r}")
-        out.append(struct.pack("<H", len(raw)))
-        out.append(raw)
-        out.append(np.ascontiguousarray(vectors[cid], dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
+    if any(len(vectors[cid]) != dim for cid in ids):
+        raise ValueError("inconsistent vector lengths")
+    matrix = np.array([vectors[cid] for cid in ids], dtype="<f8").reshape(len(ids), dim)
+    write_record(path, "vectors", {"ids": ids}, {"vectors": matrix})
 
 
 def load_vectors(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:8] != _VECTOR_MAGIC:
-        raise ValueError("not a vector file")
-    dim, count = struct.unpack_from("<II", buf, 8)
-    offset = 16
-    vectors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (length,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        cid = buf[offset:offset + length].decode("utf-8")
-        offset += length
-        vectors[cid] = np.frombuffer(buf, dtype="<f8", count=dim, offset=offset).copy()
-        offset += 8 * dim
-    return vectors
+    meta, arrays = read_record(path, "vectors")
+    return dict(zip(meta["ids"], arrays["vectors"], strict=True))

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Event",
     "EventSequence",
     "RelevanceJudgments",
     "DatasetSplit",
     "CorpusFormatError",
-    "inter_arrival_times",
     "load_corpus",
     "save_corpus",
     "load_judgments",
@@ -42,18 +40,6 @@ Corpus = dict[str, "EventSequence"]
 
 class CorpusFormatError(ValueError):
     """A corpus or judgments file violated the documented format."""
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    mark: int
-
-    def validate(self, mark_count: int | None = None) -> None:
-        if not math.isfinite(self.time) or self.time < 0.0:
-            raise CorpusFormatError(f"event time must be finite and >= 0, got {self.time}")
-        if self.mark < 0 or (mark_count is not None and self.mark >= mark_count):
-            raise CorpusFormatError(f"mark {self.mark} outside [0, {mark_count})")
 
 
 @dataclass
@@ -70,16 +56,6 @@ class EventSequence:
         self.marks = np.asarray(self.marks, dtype=np.int64)
         self.times.setflags(write=False)
         self.marks.setflags(write=False)
-
-    @classmethod
-    def from_events(cls, id: str, events, horizon: float) -> "EventSequence":
-        times = np.array([e.time for e in events], dtype=np.float64)
-        marks = np.array([e.mark for e in events], dtype=np.int64)
-        return cls(id, times, marks, horizon)
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return tuple(Event(float(t), int(m)) for t, m in zip(self.times, self.marks))
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -102,11 +78,6 @@ class EventSequence:
             raise CorpusFormatError(f"{self.id}: event time {t[-1]} exceeds horizon {self.horizon}")
         if np.any(self.marks < 0) or (mark_count is not None and np.any(self.marks >= mark_count)):
             raise CorpusFormatError(f"{self.id}: mark outside [0, {mark_count})")
-
-
-def inter_arrival_times(seq: EventSequence) -> np.ndarray:
-    """Gaps between consecutive events; the first gap is measured from 0."""
-    return np.diff(seq.times, prepend=0.0)
 
 
 def load_corpus(path, mark_count: int | None = None, normalize: bool = False) -> Corpus:
@@ -243,9 +214,6 @@ class DatasetSplit:
     train: tuple[str, ...]
     valid: tuple[str, ...]
     test: tuple[str, ...]
-
-    def all_ids(self) -> tuple[str, ...]:
-        return self.train + self.valid + self.test
 
 
 def split_queries(query_ids, fractions=(0.5, 0.1, 0.4), seed: int = 0) -> DatasetSplit:

@@ -45,7 +45,6 @@ __all__ = [
     "TrainingDivergedError",
     "AdamState",
     "adam_update",
-    "hinge",
     "sample_pairs",
     "epoch_loss",
     "validation_pools",
@@ -100,11 +99,6 @@ class TrainConfig:
     def unwarp_config(self) -> UnwarpConfig:
         return UnwarpConfig(hidden=self.unwarp_hidden, n_quad=self.n_quad,
                             noise_sigma=self.noise_sigma, unbias_sigma=self.unbias_sigma)
-
-
-def hinge(s_pos: float, s_neg: float, margin: float) -> float:
-    """max(0, s_neg - s_pos + margin); zero once the pair is separated."""
-    return max(0.0, s_neg - s_pos + margin)
 
 
 def sample_pairs(judgments: RelevanceJudgments, query_ids, corpus_ids, rng,

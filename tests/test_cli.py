@@ -2,6 +2,7 @@
 eval and bench on a micro benchmark, plus the config-file precedence rules
 and the one-line error protocol."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from seqret import cli
 from seqret.hashing import load_encoder, load_index
-from seqret.mtpp import load_checkpoint
+from seqret.mtpp import load_checkpoint, save_checkpoint
 from seqret.retrieval import load_vectors
 from seqret.sequences import load_corpus, load_judgments
 
@@ -174,7 +175,7 @@ class TestIndex:
         vectors = load_vectors(ws.idx / "vectors.bin")
         assert len(vectors) == 16
         encoder = load_encoder(ws.idx / "encoder.bin")
-        assert encoder.kind == "trained" and encoder.n_bits == 8
+        assert encoder.kind == "trained" and encoder.psi.n_bits == 8
         index = load_index(ws.idx / "index.bin")
         assert len(index.corpus_ids) == 16
         meta = dict(line.split("\t") for line in
@@ -207,6 +208,7 @@ class TestQuery:
             assert [int(r[1]) for r in qrows] == list(range(1, len(qrows) + 1))
             scores = [float(r[3]) for r in qrows]
             assert scores == sorted(scores, reverse=True)
+        assert not (out / "failures.tsv").exists()
 
     def test_exhaustive_flag(self, ws, tmp_path):
         out = tmp_path / "q"
@@ -215,6 +217,35 @@ class TestQuery:
         rows = [line.split("\t") for line in
                 (out / "results.tsv").read_text().splitlines()]
         assert rows and all(row[4] == "exhaustive" for row in rows)
+
+    @pytest.mark.parametrize("bad,error", [
+        ({"horizon": 41.0, "events": [[i + 1.0, i % 3] for i in range(40)]},
+         "SequenceLengthError"),
+        ({"horizon": 5.0, "events": []}, "ValueError"),
+    ], ids=["too-long", "empty"])
+    def test_bad_query_is_recorded_and_skipped(self, ws, tmp_path, bad, error):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((ws.data / "queries.jsonl").read_text()
+                           + json.dumps({"id": "zz-bad", **bad}) + "\n")
+        out = tmp_path / "q"
+        run_cli(["query", "--out", out, "--queries", queries, "--k", 3]
+                + ws.pipeline_args)
+        ranked = {line.split("\t")[0] for line in
+                  (out / "results.tsv").read_text().splitlines()}
+        assert len(ranked) == 6 and "zz-bad" not in ranked
+        failures = (out / "failures.tsv").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].split("\t")[:2] == ["zz-bad", error]
+
+    def test_every_query_failing_exits_1(self, ws, tmp_path, capsys):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"id": "e", "horizon": 5.0, "events": []}) + "\n")
+        out = tmp_path / "q"
+        code = cli.main([str(a) for a in ["query", "--out", out, "--queries", queries]
+                         + ws.pipeline_args])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error\tValueError\tall 1 queries failed")
+        assert (out / "failures.tsv").read_text().startswith("e\tValueError\t")
 
 
 class TestEval:
@@ -346,8 +377,39 @@ class TestErrorProtocol:
         code = cli.main([str(a) for a in argv])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error\t") and len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert err.startswith("error\tArtifactError\t") and len(err.splitlines()) == 1
+        assert str(cut) in err
+
+    def test_encoder_passed_as_index(self, ws, tmp_path, capsys):
+        argv = (["query", "--out", tmp_path / "o", "--queries", ws.data / "queries.jsonl"]
+                + ws.pipeline_args[:-2] + ["--index", ws.idx / "encoder.bin"])
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tArtifactError\t")
+        assert str(ws.idx / "encoder.bin") in err and "'encoder'" in err and "'index'" in err
+
+    def test_index_checkpoint_must_match_index(self, ws, tmp_path, capsys):
+        params, unwarp = load_checkpoint(ws.own / "checkpoint.bin")
+        params.arrays["start"] = params.arrays["start"] + 1e-3
+        other = tmp_path / "other.bin"
+        save_checkpoint(other, params, unwarp)
+        args = list(ws.pipeline_args)
+        args[args.index("--index-checkpoint") + 1] = other
+        argv = ["query", "--out", tmp_path / "o", "--queries", ws.data / "queries.jsonl"] + args
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tArtifactError\t") and str(other) in err
+
+    def test_judgment_naming_unknown_corpus_id(self, ws, tmp_path, capsys):
+        judgments = tmp_path / "judgments.tsv"
+        qid = (ws.data / "judgments.tsv").read_text().split("\t", 1)[0]
+        judgments.write_text((ws.data / "judgments.tsv").read_text()
+                             + f"{qid}\tno-such-sequence\t1\n")
+        argv = ["eval", "--out", tmp_path / "o", "--queries", ws.data / "queries.jsonl",
+                "--judgments", judgments] + ws.pipeline_args
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tCorpusFormatError\t") and "no-such-sequence" in err
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

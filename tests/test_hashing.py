@@ -240,6 +240,15 @@ class TestIndex:
         assert bucket_key(code, np.array([2])) == 0
         assert bucket_key(code, np.array([1, 2])) == 0b10
 
+    def test_bucket_keys_match_bit_loop_up_to_63_bits(self, rng):
+        code = rng.choice([-1, 1], size=70).astype(np.int8)
+        for width in (1, 14, 63):
+            positions = np.sort(rng.choice(70, size=width, replace=False))
+            want = 0
+            for pos in positions:
+                want = (want << 1) | int(code[pos] > 0)
+            assert bucket_key(code, positions) == want
+
     def test_buckets_partition_corpus(self, rng):
         codes = {f"s{i}": rng.choice([-1, 1], size=8).astype(np.int8) for i in range(30)}
         index = build_index(codes, tables=4, bits_per_table=3, seed=9)
@@ -279,6 +288,18 @@ class TestIndex:
             build_index(codes, tables=1, bits_per_table=5, seed=0)
         with pytest.raises(ValueError):
             build_index({}, tables=1, bits_per_table=2, seed=0)
+
+    def test_more_than_63_bits_per_table_rejected(self):
+        codes = {"s0": np.ones(70, dtype=np.int8)}
+        with pytest.raises(ValueError, match="63"):
+            build_index(codes, tables=1, bits_per_table=64, seed=0)
+        assert len(build_index(codes, tables=1, bits_per_table=63, seed=0).buckets) == 1
+
+    def test_index_keeps_sign_codes_in_id_order(self, rng):
+        codes = {f"s{i}": rng.choice([-1, 1], size=5).astype(np.int8) for i in (3, 1, 2)}
+        index = build_index(codes, tables=2, bits_per_table=3, seed=0)
+        assert index.codes.dtype == np.int8
+        np.testing.assert_array_equal(index.codes, np.stack([codes[c] for c in index.corpus_ids]))
 
     def test_mismatched_code_widths_rejected(self):
         codes = {"a": np.ones(4, dtype=np.int8), "b": np.ones(3, dtype=np.int8)}
@@ -329,6 +350,24 @@ class TestPersistence:
         assert loaded.seed == index.seed
         query = codes["seq-0"]
         assert candidate_lookup(loaded, query) == candidate_lookup(index, query)
+
+    def test_index_load_rebuilds_buckets_from_codes(self, rng, tmp_path):
+        codes = {f"seq-{i}": rng.choice([-1, 1], size=16).astype(np.int8) for i in range(40)}
+        index = build_index(codes, tables=4, bits_per_table=14, seed=2)
+        path = tmp_path / "index.bin"
+        save_index(str(path), index)
+        loaded = load_index(str(path))
+        np.testing.assert_array_equal(loaded.codes, index.codes)
+        for table, built in zip(loaded.buckets, index.buckets):
+            assert list(table.items()) == list(built.items())
+            assert all(type(key) is int and type(members) is list
+                       for key, members in table.items())
+        assert type(loaded.corpus_ids) is list and type(loaded.seed) is int
+
+    def test_index_without_codes_cannot_be_saved(self, tmp_path):
+        index = HashIndex(n_bits=2, positions=np.array([[0]]), buckets=[{}], seed=0)
+        with pytest.raises(ValueError, match="codes"):
+            save_index(str(tmp_path / "index.bin"), index)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

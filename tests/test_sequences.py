@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from seqret import sequences as sq
 from seqret.sequences import (
     CorpusFormatError,
-    EventSequence,
     RelevanceJudgments,
-    inter_arrival_times,
     load_corpus,
     load_judgments,
     save_corpus,
@@ -105,14 +103,10 @@ class TestLoading:
 
 
 class TestInterArrival:
-    def test_first_gap_measured_from_zero(self):
-        seq = EventSequence("s", np.array([2.0, 5.0, 9.0]), np.array([0, 0, 0]), 10.0)
-        np.testing.assert_array_equal(inter_arrival_times(seq), [2.0, 3.0, 4.0])
-
     def test_loaded_gaps_strictly_positive(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, [record("a", events=[[0.3, 0], [0.9, 1], [4.0, 2]])])
-        gaps = inter_arrival_times(load_corpus(p)["a"])
+        gaps = np.diff(load_corpus(p)["a"].times, prepend=0.0)
         assert (gaps > 0).all()
 
 
@@ -176,7 +170,7 @@ class TestSplit:
     def test_partition_property(self, n, seed):
         ids = [f"q{i}" for i in range(n)]
         s = split_queries(ids, seed=seed)
-        combined = sorted(s.all_ids())
+        combined = sorted(s.train + s.valid + s.test)
         assert combined == sorted(ids)
         assert len(set(s.train) & set(s.valid)) == 0
         assert len(set(s.train) & set(s.test)) == 0

@@ -30,17 +30,6 @@ def micro_instance(rng, n_corpus=3, n_queries=2, config=None):
     return config, corpus, queries, params, unwarp
 
 
-class TestHinge:
-    def test_separated_pair_costs_nothing(self):
-        assert tr.hinge(1.0, 0.2, margin=0.5) == 0.0
-
-    def test_inverted_pair_cost(self):
-        assert tr.hinge(0.2, 1.0, margin=0.5) == pytest.approx(1.3, abs=1e-12)
-
-    def test_boundary_is_zero(self):
-        assert tr.hinge(1.0, 0.5, margin=0.5) == 0.0
-
-
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         arrays = {"w": np.array([0.0])}
@@ -147,7 +136,7 @@ class TestEpochLoss:
         from seqret.retrieval import score_candidates
         scores = score_candidates(queries["q0"], corpus.values(), params, identity,
                                   gamma=config.gamma)
-        want = sum(tr.hinge(scores[p], scores[n], config.margin) for p, n in pairs["q0"])
+        want = sum(max(0.0, scores[n] - scores[p] + config.margin) for p, n in pairs["q0"])
         assert lg.value.item() == pytest.approx(want, rel=1e-9)
 
     def test_disabled_unwarp_equals_identity_unwarp(self, rng):
