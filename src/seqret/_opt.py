@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["AdamState", "TrainingDivergedError", "adam_update"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss or gradients left the finite range; training aborted."""
@@ -21,9 +23,8 @@ class AdamState:
 
 
 def adam_update(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-    """One in-place Adam step with bias correction.
+                state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
+    """One in-place Adam step with bias correction (``BETA1``, ``BETA2``, ``EPS``).
 
     ``weight_decay`` is decoupled (applied to the parameter directly, not
     through the moment estimates), so the data loss stays additive over
@@ -40,12 +41,12 @@ def adam_update(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(arrays[name])
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * np.square(g)
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * np.square(g)
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
         if weight_decay:
             arrays[name] -= lr * weight_decay * arrays[name]
-        arrays[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        arrays[name] -= lr * m_hat / (np.sqrt(v_hat) + EPS)

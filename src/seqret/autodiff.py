@@ -97,35 +97,6 @@ class Value:
     def __repr__(self):
         return f"Value(op={self.op!r}, shape={self.data.shape})"
 
-    # Arithmetic sugar; full rules live in the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
-
 
 class Tape:
     """Flat record of Values in construction order; as a context manager
@@ -166,7 +137,7 @@ class Tape:
         arr = np.asarray(data, dtype=np.float64)
         return Value(arr, self, "const")
 
-    def backward(self, output: Value, wrt=None, as_values: bool = False):
+    def backward(self, output: Value, wrt, as_values: bool = False):
         """Gradients of a scalar ``output`` with respect to ``wrt`` leaves.
 
         Walks nodes from ``output`` back to the start of the tape, visiting
@@ -176,7 +147,7 @@ class Tape:
         are detached numpy arrays.
 
         Leaves in ``wrt`` that ``output`` does not depend on get explicit
-        zero gradients.  ``wrt=None`` collects every leaf encountered.
+        zero gradients.
         """
         if output.tape is not self:
             raise ValueError("output was recorded on a different tape")
@@ -202,17 +173,14 @@ class Tape:
                 prev = adjoint.get(parent._idx)
                 adjoint[parent._idx] = contrib if prev is None else add(prev, contrib)
 
-        if wrt is None:
-            out = {nodes[i]: g for i, g in leaf_grads.items()}
-        else:
-            out = {}
-            for leaf in wrt:
-                if not leaf.is_leaf:
-                    raise ValueError(f"wrt entry {leaf!r} is not a leaf")
-                g = leaf_grads.get(leaf._idx)
-                if g is None:
-                    g = self.constant(np.zeros_like(leaf.data))
-                out[leaf] = g
+        out = {}
+        for leaf in wrt:
+            if not leaf.is_leaf:
+                raise ValueError(f"wrt entry {leaf!r} is not a leaf")
+            g = leaf_grads.get(leaf._idx)
+            if g is None:
+                g = self.constant(np.zeros_like(leaf.data))
+            out[leaf] = g
         if as_values:
             return out
         return {k: v.data for k, v in out.items()}

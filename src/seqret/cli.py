@@ -6,7 +6,11 @@ over file values, and required path flags always go on the command
 line.  Failures print a single machine-parseable line
 ``error\t<type>\t<message>`` to stderr and exit with status 1.  ``query``
 writes each query it cannot rank as ``query_id\t<type>\t<message>`` to
-``failures.tsv`` and fails only when every query does.
+``failures.tsv`` and fails only when every query does.  ``eval`` leaves
+such a query out of its metrics and names it as ``query_id:<type>`` in a
+``failed`` row of the report, written only when a query failed; ``bench``
+leaves it out the same way and names it on stderr.  Both fail only when
+no query could be evaluated.
 
 Randomness flows from one --seed per command.  gen spawns a child
 stream per base; train spawns, in order, init / pair sampling / noise /
@@ -338,6 +342,8 @@ def _add_query(sub) -> None:
 
 
 def _run_query(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     pipeline = _load_pipeline(args)
     queries = load_corpus(args.queries,
                           mark_count=pipeline.score_params.config.mark_count)
@@ -447,15 +453,18 @@ def _run_bench(args) -> int:
         report, _ = retrieval.evaluate_protocol(pipeline, queries, judgments, test_ids,
                                                 pool_negatives=args.pool_negatives,
                                                 seed=args.seed, exhaustive=bits is None)
+        if report.failed:
+            print(f"failed\t{','.join(report.failed)}", file=sys.stderr)
         rows.append(("-" if bits is None else str(bits), report.reduction,
                      report.ndcg[10], report.map, time.perf_counter() - start))
-    header = "bits_per_table\treduction\tndcg@10\tmap\tseconds"
-    print(header)
+    # wall-clock seconds go to stdout only; tradeoff.tsv stays byte-deterministic
+    header = "bits_per_table\treduction\tndcg@10\tmap"
+    print(header + "\tseconds")
     with open(out / "tradeoff.tsv", "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for bits, reduction, ndcg, map_, secs in rows:
-            line = f"{bits}\t{reduction:.6f}\t{ndcg:.6f}\t{map_:.6f}\t{secs:.3f}"
-            print(line)
+            line = f"{bits}\t{reduction:.6f}\t{ndcg:.6f}\t{map_:.6f}"
+            print(f"{line}\t{secs:.3f}")
             fh.write(line + "\n")
     return 0
 

@@ -31,7 +31,6 @@ __all__ = [
     "hash_code",
     "soft_codes_graph",
     "soft_code_penalties",
-    "hash_training_loss",
     "train_hash_net",
     "random_hyperplane_codes",
     "bucket_key",
@@ -165,12 +164,6 @@ def soft_code_penalties(tape: Tape, codes: Value,
     return total, terms
 
 
-def hash_training_loss(tape: Tape, psi: dict[str, Value], vectors: np.ndarray,
-                       etas: tuple[float, float, float]) -> tuple[Value, dict[str, Value]]:
-    codes = soft_codes_graph(tape, psi, vectors)
-    return soft_code_penalties(tape, codes, etas)
-
-
 def train_hash_net(vectors: np.ndarray, config: HashConfig) -> tuple[HashNetParams, list[dict[str, float]]]:
     """Fit the code network to a corpus vector matrix by full-batch Adam.
 
@@ -195,8 +188,9 @@ def train_hash_net(vectors: np.ndarray, config: HashConfig) -> tuple[HashNetPara
     for epoch in range(config.epochs):
         with Tape() as tape:
             leaves = psi.leaves(tape)
-            total, terms = hash_training_loss(tape, leaves, vectors, config.etas)
-            grads = tape.backward(total)
+            total, terms = soft_code_penalties(tape, soft_codes_graph(tape, leaves, vectors),
+                                               config.etas)
+            grads = tape.backward(total, wrt=list(leaves.values()))
             adam_update(psi.arrays, {n: grads[leaves[n]] for n in psi.NAMES}, state,
                         lr=config.learning_rate)
             curve.append({"epoch": float(epoch), "loss": total.item(),

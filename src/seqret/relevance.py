@@ -69,8 +69,6 @@ class FisherConfig:
 @dataclass
 class FisherVector:
     vector: np.ndarray
-    seq_id: str
-    variant: str
 
 
 def mark_distance(q: EventSequence, c: EventSequence) -> int:
@@ -114,8 +112,7 @@ def fisher_vector(seq: EventSequence, params: ModelParams,
                   conditioning: EventSequence | None = None) -> FisherVector:
     """Unit-norm log-likelihood gradient of one sequence."""
     grad = mtpp.grad_log_likelihood(seq, params, conditioning=conditioning)
-    return FisherVector(vector=unit_vector(grad, seq.id), seq_id=seq.id,
-                        variant=params.config.variant)
+    return FisherVector(vector=unit_vector(grad, seq.id))
 
 
 def score_pair(vq: np.ndarray, vc: np.ndarray, uq: EventSequence, q: EventSequence,

@@ -285,6 +285,7 @@ class EvalReport:
     total_pairs: int
     fallbacks: int
     skipped: list[str]
+    failed: list[str]  # "query_id:ErrorType" of queries that could not be ranked
     per_query_ap: dict[str, float]
 
     def rows(self) -> list[tuple[str, str]]:
@@ -297,6 +298,8 @@ class EvalReport:
                 ("total_pairs", str(self.total_pairs)),
                 ("fallbacks", str(self.fallbacks)),
                 ("skipped", ",".join(self.skipped) or "-")]
+        if self.failed:
+            out.append(("failed", ",".join(self.failed)))
         return out
 
 
@@ -305,35 +308,39 @@ def evaluate_protocol(pipeline: Pipeline, queries: dict[str, EventSequence],
                       pool_negatives: int = 100, seed: int = 0,
                       k_values: tuple[int, ...] = (10, 20),
                       exhaustive: bool = False) -> tuple[EvalReport, list[RankedResult]]:
-    """Pooled evaluation: judged positives plus sampled negatives per query.
+    """Pooled evaluation: each query's ``RelevanceJudgments.pool``.
 
     Quality metrics are computed on the pool; every positive missing from
     the hash candidates stays in the metric denominators.  The comparison
     count charges the full candidate set (or the full corpus when
-    exhaustive), since that is what a deployment would score.
+    exhaustive), since that is what a deployment would score.  A query
+    that cannot be ranked is recorded in ``failed`` and left out of every
+    figure; its pool is still drawn, so the other pools do not shift.
     """
     rng = np.random.default_rng(seed)
     per_ap: dict[str, float] = {}
     per_rr: dict[str, float] = {}
     per_ndcg: dict[int, dict[str, float]] = {k: {} for k in k_values}
     skipped: list[str] = []
+    failed: list[str] = []
     results: list[RankedResult] = []
     comparisons = 0
     fallbacks = 0
     n_scored = 0
     corpus_ids = sorted(pipeline.corpus)
     for qid in sorted(query_ids):
-        positives = [p for p in judgments.positives(qid) if p in pipeline.corpus]
+        positives, negatives = judgments.pool(qid, corpus_ids, rng, pool_negatives)
         if not positives:
             skipped.append(qid)
             continue
         pos_set = set(positives)
-        negatives = [cid for cid in corpus_ids if cid not in pos_set]
-        n_neg = min(pool_negatives, len(negatives))
-        drawn = rng.choice(len(negatives), size=n_neg, replace=False)
-        pool = set(positives) | {negatives[i] for i in sorted(drawn)}
-        result = query_topk(pipeline, queries[qid], k=len(pool),
-                            exhaustive=exhaustive, restrict_to=pool)
+        pool = pos_set.union(negatives)
+        try:
+            result = query_topk(pipeline, queries[qid], k=len(pool),
+                                exhaustive=exhaustive, restrict_to=pool)
+        except (ValueError, ArithmeticError) as err:
+            failed.append(f"{qid}:{type(err).__name__}")
+            continue
         ranked_ids = [cid for cid, _ in result.ranking]
         per_ap[qid] = average_precision(ranked_ids, pos_set)
         per_rr[qid] = reciprocal_rank(ranked_ids, pos_set)
@@ -344,7 +351,7 @@ def evaluate_protocol(pipeline: Pipeline, queries: dict[str, EventSequence],
         n_scored += 1
         results.append(result)
     if not per_ap:
-        raise ValueError("no evaluable query had scoreable positives")
+        raise ValueError(f"no query could be evaluated; failed: {','.join(failed) or '-'}")
     total_pairs = len(pipeline.corpus) * n_scored
     report = EvalReport(
         mode="exhaustive" if exhaustive else "hashed",
@@ -357,6 +364,7 @@ def evaluate_protocol(pipeline: Pipeline, queries: dict[str, EventSequence],
         total_pairs=total_pairs,
         fallbacks=fallbacks,
         skipped=skipped,
+        failed=failed,
         per_query_ap=per_ap,
     )
     return report, results

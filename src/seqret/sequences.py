@@ -61,8 +61,8 @@ class EventSequence:
         return int(self.times.shape[0])
 
     def validate(self, mark_count: int | None = None) -> None:
-        if not self.id:
-            raise CorpusFormatError("sequence id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise CorpusFormatError(f"sequence id must be a non-empty string, got {self.id!r}")
         if not math.isfinite(self.horizon) or self.horizon <= 0.0:
             raise CorpusFormatError(f"{self.id}: horizon must be finite and > 0")
         t = self.times
@@ -70,6 +70,8 @@ class EventSequence:
             raise CorpusFormatError(f"{self.id}: times and marks length mismatch")
         if len(self) == 0:
             return
+        if not np.all(np.isfinite(t)):
+            raise CorpusFormatError(f"{self.id}: event times must be finite")
         if t[0] <= 0.0:
             raise CorpusFormatError(f"{self.id}: first event must be at time > 0")
         if np.any(np.diff(t) <= 0.0):
@@ -80,13 +82,11 @@ class EventSequence:
             raise CorpusFormatError(f"{self.id}: mark outside [0, {mark_count})")
 
 
-def load_corpus(path, mark_count: int | None = None, normalize: bool = False) -> Corpus:
+def load_corpus(path, mark_count: int | None = None) -> Corpus:
     """Load a JSONL corpus keyed by sequence id, in file order.
 
-    ``normalize=True`` rescales every sequence (times and horizon) by the
-    largest horizon in the file, mapping the corpus onto [0, 1].  Off by
-    default; retrieval quality is scale-sensitive only through the raw
-    time-distance term, and the synthetic benchmarks share one timescale.
+    Marks must be JSON integers: ``1.7`` and ``true`` are refused rather
+    than truncated to 1.
     """
     corpus: Corpus = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -99,27 +99,21 @@ def load_corpus(path, mark_count: int | None = None, normalize: bool = False) ->
             except json.JSONDecodeError as err:
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {err}") from err
             try:
-                seq_id = rec["id"]
-                horizon = float(rec["horizon"])
                 events = rec["events"]
-                times = np.array([float(e[0]) for e in events], dtype=np.float64)
-                marks = np.array([int(e[1]) for e in events], dtype=np.int64)
-            except (KeyError, TypeError, ValueError, IndexError) as err:
+                marks = [e[1] for e in events]
+                if any(type(m) is not int for m in marks):
+                    raise TypeError("marks must be integers")
+                seq = EventSequence(rec["id"], [float(e[0]) for e in events], marks,
+                                    float(rec["horizon"]))
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
                 raise CorpusFormatError(f"{path}:{lineno}: malformed record: {err}") from err
-            if seq_id in corpus:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate sequence id {seq_id!r}")
-            seq = EventSequence(seq_id, times, marks, horizon)
             try:
                 seq.validate(mark_count)
             except CorpusFormatError as err:
                 raise CorpusFormatError(f"{path}:{lineno}: {err}") from err
-            corpus[seq_id] = seq
-    if normalize and corpus:
-        scale = max(s.horizon for s in corpus.values())
-        corpus = {
-            k: EventSequence(s.id, s.times / scale, s.marks, s.horizon / scale)
-            for k, s in corpus.items()
-        }
+            if seq.id in corpus:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate sequence id {seq.id!r}")
+            corpus[seq.id] = seq
     return corpus
 
 
@@ -138,11 +132,8 @@ def save_corpus(corpus: Corpus, path) -> None:
 class RelevanceJudgments:
     """Sparse (query, corpus) -> {+1, -1} labels with per-query access."""
 
-    def __init__(self, labels: dict[tuple[str, str], int] | None = None):
+    def __init__(self):
         self._by_query: dict[str, dict[str, int]] = {}
-        if labels:
-            for (q, c), lab in labels.items():
-                self.add(q, c, lab)
 
     def add(self, query_id: str, corpus_id: str, label: int) -> None:
         if label not in (1, -1):
@@ -152,21 +143,30 @@ class RelevanceJudgments:
             raise CorpusFormatError(f"duplicate judgment for ({query_id}, {corpus_id})")
         row[corpus_id] = label
 
-    def label(self, query_id: str, corpus_id: str) -> int | None:
-        """+1, -1, or None when the pair is unjudged."""
-        return self._by_query.get(query_id, {}).get(corpus_id)
-
     def positives(self, query_id: str) -> list[str]:
         return sorted(c for c, l in self._by_query.get(query_id, {}).items() if l == 1)
 
-    def negatives(self, query_id: str) -> list[str]:
-        return sorted(c for c, l in self._by_query.get(query_id, {}).items() if l == -1)
+    def pool(self, query_id: str, corpus_ids: list[str], rng,
+             n_negatives: int) -> tuple[list[str], list[str]]:
+        """The sample every ranking is learned and judged on.
+
+        Returns the query's judged positives in ``corpus_ids`` (which must
+        be sorted) and up to ``n_negatives`` of the other ids, drawn
+        without replacement, both in corpus order.  Unjudged ids count as
+        negatives; a judged positive never does.  Nothing is drawn for a
+        query without positives, and an empty draw leaves ``rng`` as it was.
+        """
+        members = set(corpus_ids)
+        positives = [c for c in self.positives(query_id) if c in members]
+        if not positives:
+            return [], []
+        chosen = set(positives)
+        rest = [c for c in corpus_ids if c not in chosen]
+        drawn = rng.choice(len(rest), size=min(n_negatives, len(rest)), replace=False)
+        return positives, [rest[i] for i in sorted(drawn)]
 
     def query_ids(self) -> list[str]:
         return list(self._by_query)
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._by_query.values())
 
     def validate_ids(self, query_ids, corpus_ids) -> None:
         queries = set(query_ids)

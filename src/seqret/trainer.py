@@ -19,7 +19,7 @@ Two deliberate asymmetries with the eval-mode scorer stay:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,14 @@ __all__ = [
     "EpochStats",
     "LossGraph",
     "TrainingDivergedError",
-    "AdamState",
-    "adam_update",
     "sample_pairs",
     "epoch_loss",
-    "validation_pools",
     "validation_map",
     "train",
 ]
+
+
+DIVERGENCE_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,6 @@ class TrainConfig:
     batch_queries: int = 16
     epochs: int = 10
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    divergence_threshold: float = 1e6
     init_scale: float = 0.02
     eval_negatives: int = 100
     seed: int = 0
@@ -104,28 +100,20 @@ class TrainConfig:
 def sample_pairs(judgments: RelevanceJudgments, query_ids, corpus_ids, rng,
                  negatives_per_query: int,
                  pairs_per_query: int) -> dict[str, list[tuple[str, str]]]:
-    """Per-query (positive, negative) training pairs.
+    """Per-query (positive, negative) training pairs from each query's
+    ``RelevanceJudgments.pool``.
 
-    Negatives are drawn without replacement from the corpus minus the
-    query's judged positives, so unjudged sequences are treated as
-    non-relevant but a judged positive can never appear on the negative
-    side.  The full positive-negative product is capped at
-    ``pairs_per_query`` by uniform subsampling.
+    Queries whose pool has no negatives get no entry.  The full
+    positive-negative product is capped at ``pairs_per_query`` by uniform
+    subsampling, drawn right after the query's negatives.
     """
     corpus_ids = sorted(corpus_ids)
-    members = set(corpus_ids)
     out: dict[str, list[tuple[str, str]]] = {}
     for qid in sorted(query_ids):
-        pos = [p for p in judgments.positives(qid) if p in members]
-        if not pos:
+        pos, negs = judgments.pool(qid, corpus_ids, rng, negatives_per_query)
+        if not negs:
             continue
-        pos_set = set(pos)
-        pool = [cid for cid in corpus_ids if cid not in pos_set]
-        if not pool:
-            continue
-        take = min(negatives_per_query, len(pool))
-        negs = [pool[i] for i in sorted(rng.choice(len(pool), size=take, replace=False))]
-        pairs = [(p, n) for p in sorted(pos) for n in negs]
+        pairs = [(p, n) for p in pos for n in negs]
         if len(pairs) > pairs_per_query:
             keep = sorted(rng.choice(len(pairs), size=pairs_per_query, replace=False))
             pairs = [pairs[i] for i in keep]
@@ -234,28 +222,6 @@ class TrainResult:
     config: TrainConfig
 
 
-def validation_pools(judgments: RelevanceJudgments, valid_ids, corpus_ids, rng,
-                     n_negatives: int) -> dict[str, list[str]]:
-    """Fixed per-query candidate pools (positives plus sampled negatives).
-
-    Drawn once before training so the validation MAP is comparable
-    across epochs.
-    """
-    corpus_ids = sorted(corpus_ids)
-    members = set(corpus_ids)
-    pools: dict[str, list[str]] = {}
-    for qid in sorted(valid_ids):
-        pos = [p for p in judgments.positives(qid) if p in members]
-        if not pos:
-            continue
-        pos_set = set(pos)
-        pool = [cid for cid in corpus_ids if cid not in pos_set]
-        take = min(n_negatives, len(pool))
-        negs = [pool[i] for i in sorted(rng.choice(len(pool), size=take, replace=False))]
-        pools[qid] = sorted(pos) + negs
-    return pools
-
-
 def validation_map(queries: dict[str, EventSequence], corpus: dict[str, EventSequence],
                    pools: dict[str, list[str]], judgments: RelevanceJudgments,
                    params: ModelParams, unwarp: UnwarpParams, gamma: float) -> float:
@@ -281,9 +247,11 @@ def train(corpus: dict[str, EventSequence], queries: dict[str, EventSequence],
     """Run the ranking-loss schedule and keep the best validation epoch.
 
     One root seed drives four spawned streams, in order: parameter init,
-    pair sampling, unwarp noise, validation pools.  Noise draws are
-    clipped so the first unwarped event time stays positive.  Loss above
-    ``divergence_threshold`` (or any non-finite gradient) aborts.
+    pair sampling, unwarp noise, validation pools.  The validation pools
+    are drawn once, before the first epoch, so the validation MAP is
+    comparable across epochs.  Noise draws are clipped so the first
+    unwarped event time stays positive.  Loss above
+    ``DIVERGENCE_THRESHOLD`` (or any non-finite gradient) aborts.
     """
     mcfg = config.model_config()
     ucfg = config.unwarp_config()
@@ -304,7 +272,10 @@ def train(corpus: dict[str, EventSequence], queries: dict[str, EventSequence],
               if any(p in corpus for p in judgments.positives(qid))]
     if not usable:
         raise ValueError("no training query has a judged positive in the corpus")
-    pools = validation_pools(judgments, valid_ids, corpus, rng_val, config.eval_negatives)
+    corpus_ids = sorted(corpus)
+    drawn = {qid: judgments.pool(qid, corpus_ids, rng_val, config.eval_negatives)
+             for qid in sorted(valid_ids)}
+    pools = {qid: pos + negs for qid, (pos, negs) in drawn.items() if pos}
 
     state_theta = AdamState()
     state_phi = AdamState()
@@ -333,19 +304,16 @@ def train(corpus: dict[str, EventSequence], queries: dict[str, EventSequence],
                 raise TrainingDivergedError(
                     f"model became degenerate at epoch {epoch}: {err}") from err
             loss_val = lg.value.item()
-            if not math.isfinite(loss_val) or loss_val > config.divergence_threshold:
+            if not math.isfinite(loss_val) or loss_val > DIVERGENCE_THRESHOLD:
                 raise TrainingDivergedError(
-                    f"loss {loss_val} at epoch {epoch} exceeds {config.divergence_threshold}")
+                    f"loss {loss_val} at epoch {epoch} exceeds {DIVERGENCE_THRESHOLD}")
             wrt = list(lg.theta.values()) + (list(lg.phi.values()) if lg.phi else [])
             grads = lg.tape.backward(lg.value, wrt=wrt)
             adam_update(params.arrays, {n: grads[v] for n, v in lg.theta.items()},
-                        state_theta, lr=config.learning_rate, beta1=config.adam_beta1,
-                        beta2=config.adam_beta2, eps=config.adam_eps,
-                        weight_decay=config.l2)
+                        state_theta, lr=config.learning_rate, weight_decay=config.l2)
             if lg.phi is not None:
                 adam_update(uparams.arrays, {n: grads[v] for n, v in lg.phi.items()},
-                            state_phi, lr=config.learning_rate, beta1=config.adam_beta1,
-                            beta2=config.adam_beta2, eps=config.adam_eps)
+                            state_phi, lr=config.learning_rate)
             lg.tape.release()
             epoch_total += loss_val
             epoch_pairs += lg.n_pairs

@@ -248,6 +248,20 @@ class TestQuery:
         assert (out / "failures.tsv").read_text().startswith("e\tValueError\t")
 
 
+def with_query_a00(ws, root, n_events):
+    """--queries and --judgments flags of the micro benchmark plus one
+    query "a00" of ``n_events`` events with one judged positive."""
+    root.mkdir()
+    corpus_id = next(iter(load_corpus(ws.data / "corpus.jsonl")))
+    judgments = root / "judgments.tsv"
+    judgments.write_text((ws.data / "judgments.tsv").read_text() + f"a00\t{corpus_id}\t1\n")
+    queries = root / "queries.jsonl"
+    queries.write_text((ws.data / "queries.jsonl").read_text() + json.dumps(
+        {"id": "a00", "horizon": 41.0,
+         "events": [[i + 1.0, i % 3] for i in range(n_events)]}) + "\n")
+    return ["--queries", queries, "--judgments", judgments]
+
+
 class TestEval:
     def test_both_modes(self, ws, tmp_path, capsys):
         out = tmp_path / "e"
@@ -281,22 +295,76 @@ class TestEval:
                       if not line.startswith("ap\t"))
         assert report["queries"] == "2"
 
+    def test_failing_query_is_recorded_and_skipped(self, ws, tmp_path):
+        # "a00" sorts first, so its pool is drawn before every other one.  The
+        # same query id ranks in the "ok" run and fails (longer than n_max)
+        # in the "bad" run; every other query must rank exactly as before.
+        for name, n_events in (("ok", 4), ("bad", 40)):
+            run_cli(["eval", "--out", tmp_path / name, "--pool-negatives", 8, "--seed", 7]
+                    + with_query_a00(ws, tmp_path / name, n_events) + ws.pipeline_args)
+
+        def rows(name, kind, mode):
+            text = (tmp_path / name / f"{kind}_{mode}.tsv").read_text()
+            return [line.split("\t") for line in text.splitlines()]
+
+        for mode in ("hashed", "exhaustive"):
+            ok, bad = rows("ok", "report", mode), rows("bad", "report", mode)
+            ok_rows = {row[0]: row[1:] for row in ok if row[0] != "ap"}
+            bad_rows = {row[0]: row[1:] for row in bad if row[0] != "ap"}
+            assert "failed" not in ok_rows
+            assert bad_rows["failed"] == ["a00:SequenceLengthError"]
+            assert (ok_rows["queries"], bad_rows["queries"]) == (["7"], ["6"])
+            assert [row for row in ok if row[0] == "ap" and row[1] != "a00"] \
+                == [row for row in bad if row[0] == "ap"]
+            assert [row for row in rows("ok", "results", mode) if row[0] != "a00"] \
+                == rows("bad", "results", mode)
+
+    def test_every_query_failing_exits_1(self, ws, tmp_path, capsys):
+        split = tmp_path / "split.tsv"
+        split.write_text("a00\ttest\n")
+        argv = (["eval", "--out", tmp_path / "o", "--split-file", split, "--mode", "exhaustive"]
+                + with_query_a00(ws, tmp_path / "inputs", 40) + ws.pipeline_args)
+        assert cli.main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == ("error\tValueError\tno query could be evaluated; "
+                                           "failed: a00:SequenceLengthError\n")
+
 
 class TestBench:
-    def test_tradeoff_rows(self, ws, tmp_path, capsys):
-        out = tmp_path / "b"
+    ARGS = ["--pool-negatives", 8, "--tables", 4, "--bits-grid", "2:4"]
+
+    def run_bench(self, ws, out):
         run_cli(["bench", "--out", out, "--queries", ws.data / "queries.jsonl",
                  "--judgments", ws.data / "judgments.tsv",
-                 "--vectors", ws.idx / "vectors.bin", "--pool-negatives", 8,
-                 "--tables", 4, "--bits-grid", "2:4"] + ws.pipeline_args)
+                 "--vectors", ws.idx / "vectors.bin"] + self.ARGS + ws.pipeline_args)
+
+    def test_tradeoff_rows(self, ws, tmp_path, capsys):
+        out = tmp_path / "b"
+        self.run_bench(ws, out)
         lines = (out / "tradeoff.tsv").read_text().splitlines()
-        assert lines[0] == "bits_per_table\treduction\tndcg@10\tmap\tseconds"
+        assert lines[0] == "bits_per_table\treduction\tndcg@10\tmap"
         assert len(lines) == 4
         exhaustive = lines[1].split("\t")
         assert exhaustive[0] == "-" and float(exhaustive[1]) == 0.0
         assert [line.split("\t")[0] for line in lines[2:]] == ["2", "4"]
         for line in lines[2:]:
+            assert len(line.split("\t")) == 4
             assert 0.0 <= float(line.split("\t")[1]) <= 1.0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == lines[0] + "\tseconds"
+        assert [row.rsplit("\t", 1)[0] for row in printed[1:]] == lines[1:]
+
+    def test_failing_query_is_named_on_stderr(self, ws, tmp_path, capsys):
+        out = tmp_path / "b"
+        run_cli(["bench", "--out", out, "--vectors", ws.idx / "vectors.bin"] + self.ARGS
+                + with_query_a00(ws, tmp_path / "inputs", 40) + ws.pipeline_args)
+        assert capsys.readouterr().err.splitlines() == ["failed\ta00:SequenceLengthError"] * 3
+        assert len((out / "tradeoff.tsv").read_text().splitlines()) == 4
+
+    def test_rerun_is_byte_identical(self, ws, tmp_path):
+        self.run_bench(ws, tmp_path / "one")
+        self.run_bench(ws, tmp_path / "two")
+        assert ((tmp_path / "one" / "tradeoff.tsv").read_bytes()
+                == (tmp_path / "two" / "tradeoff.tsv").read_bytes())
 
 
 class TestConfigFile:
@@ -410,6 +478,33 @@ class TestErrorProtocol:
         assert cli.main([str(a) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error\tCorpusFormatError\t") and "no-such-sequence" in err
+
+    @pytest.mark.parametrize("event,record_id", [
+        ([1.0, 0], 7), ([float("nan"), 0], "zz"), ([1.0, True], "zz"), ([1.0, 1.7], "zz"),
+    ], ids=["numeric-id", "nan-time", "bool-mark", "float-mark"])
+    def test_hostile_query_record(self, ws, tmp_path, capsys, event, record_id):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text((ws.data / "queries.jsonl").read_text()
+                           + json.dumps({"id": record_id, "horizon": 5.0,
+                                         "events": [event]}) + "\n")
+        argv = ["query", "--out", tmp_path / "o", "--queries", queries] + ws.pipeline_args
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tCorpusFormatError\t") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("k", [-3, 0])
+    def test_non_positive_k(self, tmp_path, capsys, k):
+        # rejected before any input is read: none of these files exist
+        absent = [str(tmp_path / name) for name in ("c", "s", "i", "e", "x", "q")]
+        argv = ["query", "--out", str(tmp_path / "o"), "--corpus", absent[0],
+                "--score-checkpoint", absent[1], "--index-checkpoint", absent[2],
+                "--encoder", absent[3], "--index", absent[4], "--queries", absent[5],
+                "--k", str(k)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error\tValueError\t--k must be at least 1, got {k}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

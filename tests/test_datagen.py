@@ -10,7 +10,7 @@ from seqret.datagen import (
     generate_base,
     make_benchmark,
 )
-from seqret.sequences import EventSequence, save_corpus
+from seqret.sequences import EventSequence, save_corpus, save_judgments
 
 
 def small_config(**overrides):
@@ -121,13 +121,21 @@ class TestBenchmark:
         assert set(bench.queries) == {"b000q", "b001q"}
         assert all(qid.endswith("q") for qid in bench.queries)
 
-    def test_judgments_complete_and_partitioned(self):
+    def test_judgments_complete_and_partitioned(self, tmp_path):
         bench = make_benchmark(small_config())
+        path = tmp_path / "judgments.tsv"
+        save_judgments(bench.judgments, path)
+        rows: dict[str, list[tuple[str, str]]] = {}
+        for line in path.read_text().splitlines():
+            qid, cid, label = line.split("\t")
+            rows.setdefault(qid, []).append((cid, label))
+        assert set(rows) == set(bench.queries)
         for qid in bench.queries:
+            # every corpus id is judged exactly once, as +1 or -1
+            assert sorted(cid for cid, _ in rows[qid]) == sorted(bench.corpus)
+            assert {label for _, label in rows[qid]} <= {"1", "-1"}
             pos = set(bench.judgments.positives(qid))
-            neg = set(bench.judgments.negatives(qid))
-            assert pos | neg == set(bench.corpus)
-            assert not pos & neg
+            assert pos == {cid for cid, label in rows[qid] if label == "1"}
             base = qid[:-1]
             assert pos == {cid for cid in bench.corpus if cid.startswith(base)}
             assert len(pos) == 2

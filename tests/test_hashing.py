@@ -17,13 +17,13 @@ from seqret.hashing import (
     candidate_lookup,
     hash_code,
     hash_logits,
-    hash_training_loss,
     load_encoder,
     load_index,
     random_hyperplane_codes,
     save_encoder,
     save_index,
     soft_code_penalties,
+    soft_codes_graph,
     train_hash_net,
 )
 
@@ -123,8 +123,8 @@ class TestPenalties:
 
         tape = Tape()
         leaves = psi.leaves(tape)
-        total, _ = hash_training_loss(tape, leaves, vectors, etas)
-        grads = tape.backward(total)
+        total, _ = soft_code_penalties(tape, soft_codes_graph(tape, leaves, vectors), etas)
+        grads = tape.backward(total, wrt=list(leaves.values()))
         analytic = np.concatenate([grads[leaves[n]].ravel() for n in psi.NAMES])
 
         shapes = [psi.arrays[n].shape for n in psi.NAMES]
@@ -138,7 +138,7 @@ class TestPenalties:
                 offset += size
             other = HashNetParams(arrays, psi.in_dim, psi.n_bits, psi.hidden)
             t = Tape()
-            val, _ = hash_training_loss(t, other.leaves(t), vectors, etas)
+            val, _ = soft_code_penalties(t, soft_codes_graph(t, other.leaves(t), vectors), etas)
             return val.item()
 
         flat = np.concatenate([psi.arrays[n].ravel() for n in psi.NAMES])

@@ -373,7 +373,8 @@ class TestWriters:
         report = rt.EvalReport(mode="hashed", n_queries=2, map=0.75, mrr=1.0,
                                ndcg={10: 0.5, 20: 0.625}, reduction=0.875,
                                comparisons=5, total_pairs=40, fallbacks=1,
-                               skipped=[], per_query_ap={"q1": 1.0, "q0": 0.5})
+                               skipped=[], failed=[],
+                               per_query_ap={"q1": 1.0, "q0": 0.5})
         path = tmp_path / "report.tsv"
         rt.write_report(str(path), report)
         lines = path.read_text().splitlines()
@@ -381,7 +382,15 @@ class TestWriters:
         assert "map\t0.75" in lines
         assert "ndcg@10\t0.5" in lines
         assert "reduction\t0.875" in lines
+        assert "skipped\t-" in lines
+        assert not any(line.startswith("failed") for line in lines)
         assert lines[-2:] == ["ap\tq0\t0.5", "ap\tq1\t1"]
+
+        report.failed = ["q7:SequenceLengthError", "q8:ValueError"]
+        rt.write_report(str(path), report)
+        lines = path.read_text().splitlines()
+        assert lines[lines.index("skipped\t-") + 1] == \
+            "failed\tq7:SequenceLengthError,q8:ValueError"
 
     def test_vector_store_roundtrip(self, rng, tmp_path):
         vectors = {f"s{i}": rng.normal(size=6) for i in range(5)}

@@ -1,10 +1,11 @@
 """Corpus data model, file formats, and query splitting."""
 
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqret import sequences as sq
@@ -92,14 +93,81 @@ class TestLoading:
         write_lines(p, [record("a", events=[])])
         assert len(load_corpus(p)["a"]) == 0
 
-    def test_normalize_scales_to_unit_horizon(self, tmp_path):
+    @pytest.mark.parametrize("line,match", [
+        (record(7), "non-empty string"),
+        (record(""), "non-empty string"),
+        (record("a", events=[[1.0, 0], [float("nan"), 1], [3.0, 2]]), "finite"),
+        (record("a", events=[[1.0, True]]), "integers"),
+        (record("a", events=[[1.0, 1.7]]), "integers"),
+        (record("a", events=[[1.0, 1.0]]), "integers"),
+        (record("a", events=[[1.0, 2**64]]), "malformed"),
+        (record("a", horizon=10**400), "malformed"),
+    ], ids=["int-id", "empty-id", "nan-time", "bool-mark", "float-mark", "whole-float-mark",
+            "mark-overflow", "horizon-overflow"])
+    def test_hostile_record_rejected(self, tmp_path, line, match):
         p = tmp_path / "c.jsonl"
-        write_lines(p, [record("a", horizon=4.0, events=[[2.0, 0]]),
-                        record("b", horizon=8.0, events=[[4.0, 1]])])
-        corpus = load_corpus(p, normalize=True)
-        assert max(s.horizon for s in corpus.values()) == 1.0
-        np.testing.assert_allclose(corpus["a"].times, [0.25])
-        np.testing.assert_allclose(corpus["a"].horizon, 0.5)
+        write_lines(p, [line])
+        with pytest.raises(CorpusFormatError, match=match):
+            load_corpus(p)
+
+
+def _json_values():
+    return st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                     st.just(10**400), st.floats(), st.text(max_size=3),
+                     st.lists(st.integers(-3, 3), max_size=3),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+class TestFuzz:
+    """One-field mutations of a valid record: the loader either returns
+    valid data or raises ``CorpusFormatError``, never anything else."""
+
+    VALID = {"id": "a", "horizon": 10.0, "events": [[1.0, 0], [2.5, 1], [4.0, 2]]}
+
+    @staticmethod
+    def mutate(where, value):
+        rec = json.loads(json.dumps(TestFuzz.VALID))
+        if where == "record":
+            return value
+        if where.startswith("drop-"):
+            del rec[where[5:]]
+        elif where.startswith("event"):
+            rec["events"][1] = value
+        elif where.startswith("time"):
+            rec["events"][1][0] = value
+        elif where.startswith("mark"):
+            rec["events"][1][1] = value
+        else:
+            rec[where] = value
+        return rec
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(where=st.sampled_from(["id", "horizon", "events", "event", "time", "mark",
+                                  "record", "drop-id", "drop-horizon", "drop-events"]),
+           value=_json_values(), duplicate=st.booleans(),
+           mark_count=st.sampled_from([None, 3]))
+    def test_one_field_mutation(self, tmp_path, where, value, duplicate, mark_count):
+        rec = self.mutate(where, value)
+        lines = [json.dumps(rec)] * (2 if duplicate else 1)
+        p = tmp_path / "fuzz.jsonl"
+        write_lines(p, lines)
+        try:
+            corpus = load_corpus(p, mark_count=mark_count)
+        except CorpusFormatError:
+            return
+        assert not duplicate
+        (seq,) = corpus.values()
+        assert isinstance(seq.id, str) and seq.id and list(corpus) == [rec["id"]]
+        assert math.isfinite(seq.horizon) and seq.horizon > 0
+        assert seq.times.dtype == np.float64 and seq.marks.dtype == np.int64
+        t = seq.times
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t, prepend=0.0) > 0)
+        assert len(t) == 0 or t[-1] <= seq.horizon
+        json_marks = [e[1] for e in rec["events"]]
+        assert all(type(m) is int for m in json_marks)
+        assert seq.marks.tolist() == json_marks
+        assert np.all(seq.marks >= 0) and (mark_count is None or np.all(seq.marks < mark_count))
 
 
 class TestInterArrival:
@@ -119,12 +187,12 @@ class TestJudgments:
         p = tmp_path / "j.tsv"
         save_judgments(j, p)
         back = load_judgments(p)
-        assert back.label("q1", "c1") == 1
-        assert back.label("q1", "c2") == -1
-        assert back.label("q2", "c2") is None
+        assert back.query_ids() == ["q1", "q2"]
         assert back.positives("q1") == ["c1"]
-        assert back.negatives("q1") == ["c2"]
-        assert len(back) == 3
+        assert back.positives("q2") == []
+        again = tmp_path / "again.tsv"
+        save_judgments(back, again)
+        assert again.read_text() == p.read_text() == "q1\tc1\t1\nq1\tc2\t-1\nq2\tc1\t-1\n"
 
     def test_duplicate_pair_rejected(self):
         j = RelevanceJudgments()

@@ -5,6 +5,7 @@ import pytest
 
 from seqret import autodiff as ad
 from seqret import trainer as tr
+from seqret._opt import AdamState, adam_update
 from seqret.mtpp import ModelParams
 from seqret.sequences import RelevanceJudgments
 from seqret.unwarp import UnwarpParams, unbiasedness_penalty_graph, unwarp_sequence
@@ -33,19 +34,19 @@ def micro_instance(rng, n_corpus=3, n_queries=2, config=None):
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         arrays = {"w": np.array([0.0])}
-        state = tr.AdamState()
-        tr.adam_update(arrays, {"w": np.array([1.0])}, state, lr=0.1)
+        state = AdamState()
+        adam_update(arrays, {"w": np.array([1.0])}, state, lr=0.1)
         # bias correction makes m_hat = g and v_hat = g^2 on step one
         assert arrays["w"][0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_zero_gradient_leaves_params(self):
         arrays = {"w": np.array([1.5])}
-        tr.adam_update(arrays, {"w": np.array([0.0])}, tr.AdamState(), lr=0.1)
+        adam_update(arrays, {"w": np.array([0.0])}, AdamState(), lr=0.1)
         assert arrays["w"][0] == pytest.approx(1.5, abs=1e-12)
 
     def test_decoupled_weight_decay(self):
         arrays = {"w": np.array([1.0])}
-        tr.adam_update(arrays, {"w": np.array([0.0])}, tr.AdamState(), lr=0.1,
+        adam_update(arrays, {"w": np.array([0.0])}, AdamState(), lr=0.1,
                        weight_decay=0.1)
         assert arrays["w"][0] == pytest.approx(0.99, abs=1e-12)
 
@@ -53,12 +54,12 @@ class TestAdam:
         arrays = {"good": np.zeros(2), "bad": np.zeros(2)}
         grads = {"good": np.zeros(2), "bad": np.array([1.0, np.nan])}
         with pytest.raises(tr.TrainingDivergedError, match="bad"):
-            tr.adam_update(arrays, grads, tr.AdamState(), lr=0.1)
+            adam_update(arrays, grads, AdamState(), lr=0.1)
 
     def test_updates_reference_arrays_in_place(self):
         backing = np.array([1.0, 2.0])
         arrays = {"w": backing}
-        tr.adam_update(arrays, {"w": np.ones(2)}, tr.AdamState(), lr=0.1)
+        adam_update(arrays, {"w": np.ones(2)}, AdamState(), lr=0.1)
         np.testing.assert_array_equal(backing, arrays["w"])
         assert backing[0] != 1.0
 
