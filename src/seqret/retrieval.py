@@ -9,6 +9,7 @@ side passes through the unwarp.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -25,7 +26,13 @@ from .hashing import (
     train_hash_net,
 )
 from .mtpp import ModelParams, checkpoint_sha256
-from .relevance import VanishingGradientError, fisher_vector, score_pair
+from .relevance import (
+    VanishingGradientError,
+    fisher_vector,
+    mark_distance,
+    score_pair,
+    time_distance,
+)
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import UnwarpParams, unwarp_sequence
 
@@ -110,34 +117,72 @@ def rank_by_score(scores: dict[str, float]) -> list[tuple[str, float]]:
 
 # -- scoring ------------------------------------------------------------------
 
+# Slack on the kernel bound: a dot product of two unit vectors can exceed 1
+# by a few ulps of rounding.
+KERNEL_BOUND = 1.0 + 1e-9
+
+
+def _distance_term(uq: EventSequence, q: EventSequence, c: EventSequence,
+                   gamma: float) -> float:
+    """gamma * sim of one pair, with the T that ``score_pair`` uses."""
+    T = max(uq.horizon, c.horizon)
+    return -gamma * (time_distance(uq, c, T) + mark_distance(q, c))
+
+
 def score_candidates(query: EventSequence, candidates, params: ModelParams,
                      unwarp: UnwarpParams, gamma: float = 0.1,
-                     vector_cache: dict | None = None) -> dict[str, float]:
+                     vector_cache: dict | None = None,
+                     k: int | None = None) -> dict[str, float]:
     """Relevance scores of one query against a list of corpus sequences.
 
     The query side (unwarp, gradient vector) is computed once.  Under the
     self variant, corpus vectors do not depend on the query and may be
     shared across calls through ``vector_cache``.  Candidates whose
     gradient vanishes are skipped with a warning rather than scored.
+
+    With ``k`` below the candidate count, only candidates that can still
+    reach the top k are scored.  The kernel is at most 1, so gamma * sim + 1
+    bounds a candidate's score; candidates are visited in descending
+    gamma * sim (ties toward the smaller id), and the scan stops at the
+    first whose bound is strictly below the k-th best score so far.  Every
+    returned score is exact, and ``rank_by_score(...)[:k]`` equals that of
+    the unpruned call.
     """
     uq = unwarp_sequence(query, unwarp)
     cross = params.config.variant == "cross"
     vq = fisher_vector(uq, params, conditioning=uq if cross else None)
+    candidates = list(candidates)
+    bounds = None
+    if k is not None and k < len(candidates):
+        terms = [_distance_term(uq, query, c, gamma) for c in candidates]
+        order = sorted(range(len(candidates)), key=lambda i: (-terms[i], candidates[i].id))
+        candidates = [candidates[i] for i in order]
+        bounds = [terms[i] + KERNEL_BOUND for i in order]
+    best: list[float] = []  # min-heap of the k best scores so far
     scores: dict[str, float] = {}
-    for c in candidates:
+    for i, c in enumerate(candidates):
+        if bounds is not None and len(best) == k and bounds[i] < best[0]:
+            break
         try:
             if cross:
-                vc = fisher_vector(c, params, conditioning=uq)
+                vc = fisher_vector(c, params, conditioning=uq).vector
             elif vector_cache is not None and c.id in vector_cache:
                 vc = vector_cache[c.id]
             else:
-                vc = fisher_vector(c, params)
+                vc = fisher_vector(c, params).vector
                 if vector_cache is not None:
                     vector_cache[c.id] = vc
         except VanishingGradientError:
             warnings.warn(f"skipping {c.id}: vanishing gradient under the scoring model")
             continue
-        scores[c.id] = score_pair(vq.vector, vc.vector, uq, query, c, gamma)
+        score = score_pair(vq.vector, vc, uq, query, c, gamma)
+        scores[c.id] = score
+        if bounds is None:
+            continue
+        if len(best) < k:
+            heapq.heappush(best, score)
+        else:
+            heapq.heappushpop(best, score)
     return scores
 
 
@@ -186,6 +231,8 @@ class Pipeline:
     vectors: dict[str, np.ndarray]
     excluded: list[str]
     config: PipelineConfig
+    # self-variant scorer vectors, filled by queries and never persisted
+    score_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -195,6 +242,7 @@ class RankedResult:
     mode: str  # "hashed" or "exhaustive"
     comparisons: int  # corpus sequences the scorer visited
     fallback: bool = False  # hashed lookup was empty, fell back to full scan
+    scored: int = 0  # candidates that got a score; in memory only, never written
 
 
 def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
@@ -254,7 +302,9 @@ def query_topk(pipeline: Pipeline, query: EventSequence, k: int = 10,
 
     ``restrict_to`` limits scoring to a candidate subset without changing
     the comparison count; the evaluation protocol uses it to score only
-    pooled pairs while still charging the full candidate set.
+    pooled pairs while still charging the full candidate set.  Candidates
+    that cannot reach the top ``k`` are not scored (``score_candidates``);
+    ``comparisons`` still counts them and ``scored`` does not.
     """
     if exhaustive:
         candidates, fallback = sorted(pipeline.corpus), False
@@ -265,10 +315,11 @@ def query_topk(pipeline: Pipeline, query: EventSequence, k: int = 10,
         candidates = [cid for cid in candidates if cid in restrict_to]
     scores = score_candidates(query, [pipeline.corpus[cid] for cid in candidates],
                               pipeline.score_params, pipeline.score_unwarp,
-                              pipeline.config.gamma)
+                              pipeline.config.gamma, vector_cache=pipeline.score_vectors,
+                              k=k)
     return RankedResult(query_id=query.id, ranking=rank_by_score(scores)[:k],
                         mode="exhaustive" if exhaustive else "hashed",
-                        comparisons=comparisons, fallback=fallback)
+                        comparisons=comparisons, fallback=fallback, scored=len(scores))
 
 
 # -- evaluation protocol -------------------------------------------------------
@@ -317,6 +368,8 @@ def evaluate_protocol(pipeline: Pipeline, queries: dict[str, EventSequence],
     that cannot be ranked is recorded in ``failed`` and left out of every
     figure; its pool is still drawn, so the other pools do not shift.
     """
+    if pool_negatives < 1:
+        raise ValueError(f"pool_negatives must be at least 1, got {pool_negatives}")
     rng = np.random.default_rng(seed)
     per_ap: dict[str, float] = {}
     per_rr: dict[str, float] = {}

@@ -60,33 +60,57 @@ class EventSequence:
     def __len__(self) -> int:
         return int(self.times.shape[0])
 
-    def validate(self, mark_count: int | None = None) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise CorpusFormatError(f"sequence id must be a non-empty string, got {self.id!r}")
-        if not math.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise CorpusFormatError(f"{self.id}: horizon must be finite and > 0")
-        t = self.times
-        if t.shape != self.marks.shape:
-            raise CorpusFormatError(f"{self.id}: times and marks length mismatch")
-        if len(self) == 0:
-            return
-        if not np.all(np.isfinite(t)):
-            raise CorpusFormatError(f"{self.id}: event times must be finite")
-        if t[0] <= 0.0:
-            raise CorpusFormatError(f"{self.id}: first event must be at time > 0")
-        if np.any(np.diff(t) <= 0.0):
-            raise CorpusFormatError(f"{self.id}: event times must be strictly increasing")
-        if t[-1] > self.horizon:
-            raise CorpusFormatError(f"{self.id}: event time {t[-1]} exceeds horizon {self.horizon}")
-        if np.any(self.marks < 0) or (mark_count is not None and np.any(self.marks >= mark_count)):
-            raise CorpusFormatError(f"{self.id}: mark outside [0, {mark_count})")
+
+def _number(value, what: str) -> float:
+    """A JSON number as a finite float; strings, booleans, NaN and
+    infinities are refused, and an integer too large for a float raises
+    ``OverflowError``."""
+    if type(value) not in (int, float):
+        raise CorpusFormatError(f"{what} must be a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise CorpusFormatError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _parse_record(rec, mark_count: int | None) -> EventSequence:
+    """Check one decoded record in a single pass over its Python values."""
+    seq_id, horizon, events = rec["id"], rec["horizon"], rec["events"]
+    if type(seq_id) is not str or not seq_id:
+        raise CorpusFormatError(f"sequence id must be a non-empty string, got {seq_id!r}")
+    horizon = _number(horizon, f"{seq_id}: horizon")
+    if horizon <= 0.0:
+        raise CorpusFormatError(f"{seq_id}: horizon must be > 0")
+    if type(events) is not list:
+        raise CorpusFormatError(f"{seq_id}: events must be a list")
+    times: list[float] = []
+    marks: list[int] = []
+    for event in events:
+        if type(event) is not list or len(event) != 2:
+            raise CorpusFormatError(f"{seq_id}: an event must be a [time, mark] pair")
+        t = _number(event[0], f"{seq_id}: event time")
+        m = event[1]
+        if type(m) is not int:
+            raise CorpusFormatError(f"{seq_id}: marks must be integers, got {m!r}")
+        if not times and t <= 0.0:
+            raise CorpusFormatError(f"{seq_id}: first event must be at time > 0")
+        if times and t <= times[-1]:
+            raise CorpusFormatError(f"{seq_id}: event times must be strictly increasing")
+        if m < 0 or (mark_count is not None and m >= mark_count):
+            raise CorpusFormatError(f"{seq_id}: mark outside [0, {mark_count})")
+        times.append(t)
+        marks.append(m)
+    if times and times[-1] > horizon:
+        raise CorpusFormatError(f"{seq_id}: event time {times[-1]} exceeds horizon {horizon}")
+    return EventSequence(seq_id, times, marks, horizon)
 
 
 def load_corpus(path, mark_count: int | None = None) -> Corpus:
     """Load a JSONL corpus keyed by sequence id, in file order.
 
-    Marks must be JSON integers: ``1.7`` and ``true`` are refused rather
-    than truncated to 1.
+    Times and horizons must be finite JSON numbers and marks JSON
+    integers: ``"1.5"``, ``true`` and (for marks) ``1.7`` are refused
+    rather than converted.
     """
     corpus: Corpus = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -99,18 +123,11 @@ def load_corpus(path, mark_count: int | None = None) -> Corpus:
             except json.JSONDecodeError as err:
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {err}") from err
             try:
-                events = rec["events"]
-                marks = [e[1] for e in events]
-                if any(type(m) is not int for m in marks):
-                    raise TypeError("marks must be integers")
-                seq = EventSequence(rec["id"], [float(e[0]) for e in events], marks,
-                                    float(rec["horizon"]))
-            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed record: {err}") from err
-            try:
-                seq.validate(mark_count)
+                seq = _parse_record(rec, mark_count)
             except CorpusFormatError as err:
                 raise CorpusFormatError(f"{path}:{lineno}: {err}") from err
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
+                raise CorpusFormatError(f"{path}:{lineno}: malformed record: {err}") from err
             if seq.id in corpus:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate sequence id {seq.id!r}")
             corpus[seq.id] = seq

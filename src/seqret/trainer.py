@@ -83,8 +83,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.margin < 0 or self.gamma < 0 or self.l2 < 0 or self.unbias_weight < 0:
             raise ValueError("margin, gamma, l2, unbias_weight must be >= 0")
-        if self.negatives_per_query < 1 or self.pairs_per_query < 1 or self.batch_queries < 1:
-            raise ValueError("sampling sizes must be positive")
+        if (self.negatives_per_query < 1 or self.pairs_per_query < 1
+                or self.batch_queries < 1 or self.eval_negatives < 1):
+            raise ValueError("sampling and pool sizes must be positive")
         if self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("epochs >= 0 and learning_rate > 0 required")
 
@@ -226,7 +227,7 @@ def validation_map(queries: dict[str, EventSequence], corpus: dict[str, EventSeq
                    pools: dict[str, list[str]], judgments: RelevanceJudgments,
                    params: ModelParams, unwarp: UnwarpParams, gamma: float) -> float:
     aps: list[float] = []
-    cache: dict[str, object] = {}
+    cache: dict[str, np.ndarray] = {}
     for qid in sorted(pools):
         seqs = [corpus[cid] for cid in pools[qid]]
         scores = score_candidates(queries[qid], seqs, params, unwarp, gamma=gamma,

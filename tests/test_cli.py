@@ -506,6 +506,24 @@ class TestErrorProtocol:
         assert err == f"error\tValueError\t--k must be at least 1, got {k}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--eval-negatives"), ("eval", "--pool-negatives"),
+        ("bench", "--pool-negatives"),
+    ])
+    def test_pool_without_negatives(self, ws, tmp_path, capsys, command, flag):
+        inputs = ["--queries", ws.data / "queries.jsonl", "--judgments", ws.data / "judgments.tsv"]
+        out = tmp_path / "o"
+        argv = {
+            "train": ["train", "--out", out, "--corpus", ws.data / "corpus.jsonl"] + inputs
+                     + TRAIN_ARGS,
+            "eval": ["eval", "--out", out] + inputs + ws.pipeline_args,
+            "bench": ["bench", "--out", out, "--vectors", ws.idx / "vectors.bin"] + inputs
+                     + ws.pipeline_args,
+        }[command] + [flag, 0]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t") and len(err.splitlines()) == 1
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["index", "--out", "o", "--corpus", "c", "--checkpoint", "k",

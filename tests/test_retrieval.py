@@ -1,5 +1,8 @@
 """Retrieval metrics, candidate scoring, and the end-to-end pipeline."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +153,101 @@ class TestScoring:
         with pytest.warns(UserWarning, match="c01"):
             scores = rt.score_candidates(query, corpus.values(), score_params, unwarp)
         assert set(scores) == {"c00", "c02"}
+
+
+def bare_pipeline(corpus, score_params, index_params, unwarp, gamma=0.1):
+    """A pipeline for exhaustive queries: no encoder and no index."""
+    return rt.Pipeline(corpus=corpus, score_params=score_params, score_unwarp=unwarp,
+                       index_params=index_params, index_unwarp=unwarp, encoder=None,
+                       index=None, vectors={}, excluded=[],
+                       config=rt.PipelineConfig(gamma=gamma))
+
+
+class TestPruning:
+    """``score_candidates(..., k=k)`` scores only candidates whose
+    gamma * sim + 1 bound can still reach the top k."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["cross", "self"]),
+           gamma=st.sampled_from([0.0, 0.1, 1.0]), n=st.integers(1, 6),
+           copies=st.integers(0, 2), with_query=st.booleans(), vanish=st.booleans(),
+           data=st.data())
+    def test_top_k_equals_unpruned(self, seed, variant, gamma, n, copies, with_query,
+                                   vanish, data):
+        rng = np.random.default_rng(seed)
+        score_params, _, unwarp = make_models(rng, variant_pair=(variant, "self"))
+        query = random_sequence(rng, seq_id="q")
+        candidates = [random_sequence(rng, seq_id=f"c{i}") for i in range(n)]
+        # exact ties: one sequence under several ids
+        candidates += [replace(candidates[0], id=f"d{j}") for j in range(copies)]
+        if with_query:  # kernel about 1
+            candidates.append(replace(query, id="cq"))
+        k = data.draw(st.integers(1, len(candidates) + 2), label="k")
+        vanishing = data.draw(st.sampled_from([c.id for c in candidates]), label="vanishing")
+        real = rt.fisher_vector
+
+        def flaky(seq, params, conditioning=None):
+            if vanish and seq.id == vanishing:
+                raise VanishingGradientError("forced")
+            return real(seq, params, conditioning=conditioning)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(rt, "fisher_vector", flaky)
+            warnings.simplefilter("ignore")
+            full = rt.score_candidates(query, candidates, score_params, unwarp, gamma=gamma)
+            pruned = rt.score_candidates(query, candidates, score_params, unwarp,
+                                         gamma=gamma, k=k)
+        assert rt.rank_by_score(pruned)[:k] == rt.rank_by_score(full)[:k]
+        assert all(full[cid] == score for cid, score in pruned.items())
+
+    def test_separated_distances_score_fewer_than_offered(self, rng):
+        query = random_sequence(rng, n=5, seq_id="q")
+        # candidate i is the query shifted by 10 i: gamma * sim falls by
+        # about 5 per step, far more than the kernel can make up
+        corpus = {f"c{i}": EventSequence(f"c{i}", query.times + 10.0 * i, query.marks,
+                                         query.horizon + 10.0 * i) for i in range(6)}
+        score_params, index_params, unwarp = make_models(rng)
+        pipeline = bare_pipeline(corpus, score_params, index_params, unwarp)
+        result = rt.query_topk(pipeline, query, k=2, exhaustive=True)
+        assert result.comparisons == 6
+        assert result.scored == 2
+        full = rt.score_candidates(query, corpus.values(), score_params, unwarp)
+        assert result.ranking == rt.rank_by_score(full)[:2]
+
+    def test_whole_pool_is_scored(self, rng):
+        corpus = make_corpus(rng, n=5)
+        score_params, index_params, unwarp = make_models(rng)
+        pipeline = bare_pipeline(corpus, score_params, index_params, unwarp)
+        query = random_sequence(rng, seq_id="q")
+        result = rt.query_topk(pipeline, query, k=len(corpus), exhaustive=True)
+        assert result.scored == result.comparisons == len(corpus)
+
+    def test_self_scorer_vectors_cached_per_pipeline(self, rng, monkeypatch):
+        corpus = make_corpus(rng, n=5)
+        score_params, index_params, unwarp = make_models(rng, variant_pair=("self", "self"))
+        pipeline = bare_pipeline(corpus, score_params, index_params, unwarp)
+        q1 = random_sequence(rng, seq_id="q1")
+        q2 = random_sequence(rng, seq_id="q2")
+        rt.query_topk(pipeline, q1, k=len(corpus), exhaustive=True)
+        assert set(pipeline.score_vectors) == set(corpus)
+        fresh = rt.query_topk(bare_pipeline(corpus, score_params, index_params, unwarp),
+                              q2, k=len(corpus), exhaustive=True)
+        real = rt.fisher_vector
+        seen = []
+
+        def counting(seq, params, conditioning=None):
+            seen.append(seq.id)
+            return real(seq, params, conditioning=conditioning)
+
+        monkeypatch.setattr(rt, "fisher_vector", counting)
+        cached = rt.query_topk(pipeline, q2, k=len(corpus), exhaustive=True)
+        assert seen == ["q2"]
+        assert cached.ranking == fresh.ranking
+
+    def test_cross_scorer_fills_no_cache(self, small_pipeline, rng):
+        pipeline, _ = small_pipeline
+        rt.query_topk(pipeline, random_sequence(rng, seq_id="q"), k=3, exhaustive=True)
+        assert pipeline.score_vectors == {}
 
 
 class TestCorpusVectors:

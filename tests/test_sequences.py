@@ -102,8 +102,18 @@ class TestLoading:
         (record("a", events=[[1.0, 1.0]]), "integers"),
         (record("a", events=[[1.0, 2**64]]), "malformed"),
         (record("a", horizon=10**400), "malformed"),
+        (record("a", horizon="10"), "horizon must be a number"),
+        (record("a", horizon=True), "horizon must be a number"),
+        (record("a", events=[[True, 0]]), "time must be a number"),
+        (record("a", events=[[1.0, 0], ["1.5", 1]]), "time must be a number"),
+        (record("a", events=[[1.0, 0], [float("inf"), 1]]), "finite"),
+        (record("a", events=[[10**400, 0]]), "malformed"),
+        (record("a", events=[[1.0, 0, 2]]), "pair"),
+        (json.dumps({"id": "a", "horizon": 10.0, "events": {}}), "list"),
     ], ids=["int-id", "empty-id", "nan-time", "bool-mark", "float-mark", "whole-float-mark",
-            "mark-overflow", "horizon-overflow"])
+            "mark-overflow", "horizon-overflow", "string-horizon", "bool-horizon",
+            "bool-time", "string-time", "inf-time", "time-overflow", "three-field-event",
+            "events-object"])
     def test_hostile_record_rejected(self, tmp_path, line, match):
         p = tmp_path / "c.jsonl"
         write_lines(p, [line])
