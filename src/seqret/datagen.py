@@ -12,6 +12,7 @@ labeled.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,19 @@ def apply_warp(seq: EventSequence, kind: str, coeff: float = 1.0) -> EventSequen
     raise ValueError(f"unknown warp kind {kind!r}")
 
 
+def _mark_chain(rng: np.random.Generator, initial: np.ndarray, transition: np.ndarray,
+                n: int) -> np.ndarray:
+    """``n`` marks of a first-order Markov chain, one uniform each through
+    its row's normalized cumsum: the draw ``rng.choice(c, p=row)`` makes,
+    so marks and rng state match a per-event ``choice`` loop bit for bit."""
+    cum = np.cumsum(np.vstack([transition, initial]), axis=1)
+    rows = (cum / cum[:, -1:]).tolist()  # the last row starts the chain
+    chain = [len(initial)]
+    for u in rng.random(n).tolist():
+        chain.append(bisect_right(rows[chain[-1]], u))
+    return np.array(chain[1:], dtype=int)
+
+
 def generate_base(rng: np.random.Generator, config: GenConfig,
                   base_index: int) -> tuple[list[EventSequence], BaseParams]:
     """All windows of one base, in stream order, plus its true parameters."""
@@ -121,10 +135,7 @@ def generate_base(rng: np.random.Generator, config: GenConfig,
     total = int(lengths.sum()) + 1  # one extra arrival supplies the last horizon
     gaps = rng.lognormal(mu, sigma, size=total)
     times = np.cumsum(gaps)
-    marks = np.empty(total, dtype=int)
-    marks[0] = rng.choice(c, p=initial)
-    for i in range(1, total):
-        marks[i] = rng.choice(c, p=transition[marks[i - 1]])
+    marks = _mark_chain(rng, initial, transition, total)
 
     windows: list[EventSequence] = []
     start = 0

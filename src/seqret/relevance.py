@@ -22,8 +22,8 @@ still yields kernel 1.
 
 The time distance and the net score kappa + gamma * sim each have one
 taped definition (``time_distance_graph``, ``score_graph``).  The trainer
-builds them on its loss tape; the eval-mode functions here and
-``retrieval.score_candidates`` evaluate them on a throwaway tape.
+builds them on its loss tape; the eval path scores a pair as kappa plus
+``distance_term``, which equals ``score_graph`` on a tape bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
     "fisher_vector",
     "fisher_kernel",
     "relevance_score",
-    "score_pair",
+    "distance_term",
     "fisher_vector_graph",
     "time_distance_graph",
     "score_graph",
@@ -115,16 +115,15 @@ def fisher_vector(seq: EventSequence, params: ModelParams,
     return FisherVector(vector=unit_vector(grad, seq.id))
 
 
-def score_pair(vq: np.ndarray, vc: np.ndarray, uq: EventSequence, q: EventSequence,
-               c: EventSequence, gamma: float) -> float:
-    """Eval-mode ``score_graph`` of one pair from its unit vectors.
+def distance_term(uq: EventSequence, q: EventSequence, c: EventSequence,
+                  gamma: float) -> float:
+    """Eval-mode gamma * sim of one pair; ``uq`` is the unwarped query.
 
     T is the larger of the corpus horizon and the unwarped query horizon,
     which reduces to max of the raw horizons under the identity unwarp.
     """
-    with ad.Tape() as tape:
-        return score_graph(tape, tape.constant(vq), tape.constant(vc), tape.constant(uq.times),
-                           q, c, max(uq.horizon, c.horizon), gamma).item()
+    T = max(uq.horizon, c.horizon)
+    return -gamma * (time_distance(uq, c, T) + mark_distance(q, c))
 
 
 def relevance_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
@@ -135,7 +134,7 @@ def relevance_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
     cond = uq if params.config.variant == "cross" else None
     vq = fisher_vector(uq, params, conditioning=cond)
     vc = fisher_vector(c, params, conditioning=cond)
-    return score_pair(vq.vector, vc.vector, uq, q, c, gamma)
+    return float(vq.vector @ vc.vector) + distance_term(uq, q, c, gamma)
 
 
 def fisher_kernel(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,

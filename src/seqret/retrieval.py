@@ -10,6 +10,7 @@ side passes through the unwarp.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -26,13 +27,7 @@ from .hashing import (
     train_hash_net,
 )
 from .mtpp import ModelParams, checkpoint_sha256
-from .relevance import (
-    VanishingGradientError,
-    fisher_vector,
-    mark_distance,
-    score_pair,
-    time_distance,
-)
+from .relevance import VanishingGradientError, distance_term, fisher_vector
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import UnwarpParams, unwarp_sequence
 
@@ -122,13 +117,6 @@ def rank_by_score(scores: dict[str, float]) -> list[tuple[str, float]]:
 KERNEL_BOUND = 1.0 + 1e-9
 
 
-def _distance_term(uq: EventSequence, q: EventSequence, c: EventSequence,
-                   gamma: float) -> float:
-    """gamma * sim of one pair, with the T that ``score_pair`` uses."""
-    T = max(uq.horizon, c.horizon)
-    return -gamma * (time_distance(uq, c, T) + mark_distance(q, c))
-
-
 def score_candidates(query: EventSequence, candidates, params: ModelParams,
                      unwarp: UnwarpParams, gamma: float = 0.1,
                      vector_cache: dict | None = None,
@@ -140,45 +128,38 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
     shared across calls through ``vector_cache``.  Candidates whose
     gradient vanishes are skipped with a warning rather than scored.
 
-    With ``k`` below the candidate count, only candidates that can still
-    reach the top k are scored.  The kernel is at most 1, so gamma * sim + 1
-    bounds a candidate's score; candidates are visited in descending
-    gamma * sim (ties toward the smaller id), and the scan stops at the
-    first whose bound is strictly below the k-th best score so far.  Every
+    Each candidate's gamma * sim is computed once.  The kernel is at most
+    1, so gamma * sim + 1 bounds a candidate's score: candidates are
+    visited in descending gamma * sim (ties toward the smaller id), and the
+    scan stops at the first whose bound is strictly below the k-th best
+    score so far (``k=None``: all candidates, so none is skipped).  Every
     returned score is exact, and ``rank_by_score(...)[:k]`` equals that of
-    the unpruned call.
+    scoring every candidate.
     """
     uq = unwarp_sequence(query, unwarp)
-    cross = params.config.variant == "cross"
-    vq = fisher_vector(uq, params, conditioning=uq if cross else None)
+    cond = uq if params.config.variant == "cross" else None
+    vq = fisher_vector(uq, params, conditioning=cond).vector
+    # only self-variant corpus vectors are independent of the query
+    cache = vector_cache if cond is None and vector_cache is not None else {}
     candidates = list(candidates)
-    bounds = None
-    if k is not None and k < len(candidates):
-        terms = [_distance_term(uq, query, c, gamma) for c in candidates]
-        order = sorted(range(len(candidates)), key=lambda i: (-terms[i], candidates[i].id))
-        candidates = [candidates[i] for i in order]
-        bounds = [terms[i] + KERNEL_BOUND for i in order]
+    terms = [distance_term(uq, query, c, gamma) for c in candidates]
+    order = sorted(range(len(candidates)), key=lambda i: (-terms[i], candidates[i].id))
+    k = len(order) if k is None else k
     best: list[float] = []  # min-heap of the k best scores so far
     scores: dict[str, float] = {}
-    for i, c in enumerate(candidates):
-        if bounds is not None and len(best) == k and bounds[i] < best[0]:
+    for i in order:
+        c = candidates[i]
+        if len(best) == k and terms[i] + KERNEL_BOUND < best[0]:
             break
-        try:
-            if cross:
-                vc = fisher_vector(c, params, conditioning=uq).vector
-            elif vector_cache is not None and c.id in vector_cache:
-                vc = vector_cache[c.id]
-            else:
-                vc = fisher_vector(c, params).vector
-                if vector_cache is not None:
-                    vector_cache[c.id] = vc
-        except VanishingGradientError:
-            warnings.warn(f"skipping {c.id}: vanishing gradient under the scoring model")
-            continue
-        score = score_pair(vq.vector, vc, uq, query, c, gamma)
-        scores[c.id] = score
-        if bounds is None:
-            continue
+        vc = cache.get(c.id)
+        if vc is None:
+            try:
+                vc = fisher_vector(c, params, conditioning=cond).vector
+            except VanishingGradientError:
+                warnings.warn(f"skipping {c.id}: vanishing gradient under the scoring model")
+                continue
+            cache[c.id] = vc
+        scores[c.id] = score = float(vq @ vc) + terms[i]
         if len(best) < k:
             heapq.heappush(best, score)
         else:
@@ -215,6 +196,8 @@ class PipelineConfig:
     encoder_kind: str = "trained"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.encoder_kind not in ("trained", "random"):
             raise ValueError(f"unknown encoder kind {self.encoder_kind!r}")
 

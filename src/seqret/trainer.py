@@ -81,13 +81,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.margin < 0 or self.gamma < 0 or self.l2 < 0 or self.unbias_weight < 0:
-            raise ValueError("margin, gamma, l2, unbias_weight must be >= 0")
+        if not all(math.isfinite(x) and x >= 0
+                   for x in (self.margin, self.gamma, self.l2, self.unbias_weight)):
+            raise ValueError("margin, gamma, l2, unbias_weight must be finite and >= 0")
         if (self.negatives_per_query < 1 or self.pairs_per_query < 1
                 or self.batch_queries < 1 or self.eval_negatives < 1):
             raise ValueError("sampling and pool sizes must be positive")
-        if self.epochs < 0 or self.learning_rate <= 0:
-            raise ValueError("epochs >= 0 and learning_rate > 0 required")
+        if self.epochs < 0 or not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("epochs >= 0 and finite learning_rate > 0 required")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(variant=self.variant, dim=self.dim, mark_count=self.mark_count,

@@ -524,6 +524,20 @@ class TestErrorProtocol:
         err = capsys.readouterr().err
         assert err.startswith("error\tValueError\t") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("gamma", ["nan", "-1"])
+    @pytest.mark.parametrize("command", ["query", "eval", "bench"])
+    def test_bad_gamma(self, ws, tmp_path, capsys, command, gamma):
+        inputs = ["--queries", ws.data / "queries.jsonl"]
+        if command != "query":
+            inputs += ["--judgments", ws.data / "judgments.tsv"]
+        if command == "bench":
+            inputs += ["--vectors", ws.idx / "vectors.bin"]
+        argv = [command, "--out", tmp_path / "o"] + inputs + ws.pipeline_args + ["--gamma", gamma]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\tgamma") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_threads_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["index", "--out", "o", "--corpus", "c", "--checkpoint", "k",

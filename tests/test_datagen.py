@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqret.datagen import (
     GenConfig,
     WARP_KINDS,
+    _mark_chain,
     apply_warp,
     generate_base,
     make_benchmark,
@@ -194,3 +197,30 @@ class TestBenchmark:
             small_config(warp_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             small_config(mark_count=1)
+
+
+def old_mark_chain(rng, initial, transition, n):
+    """The per-event ``choice`` loop that ``_mark_chain`` replaced."""
+    c = len(initial)
+    marks = np.empty(n, dtype=int)
+    marks[0] = rng.choice(c, p=initial)
+    for i in range(1, n):
+        marks[i] = rng.choice(c, p=transition[marks[i - 1]])
+    return marks
+
+
+class TestMarkChain:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 8), n=st.integers(1, 150),
+           alpha=st.sampled_from([0.05, 0.8, 5.0]))
+    def test_matches_per_event_choice(self, seed, c, n, alpha):
+        # small alpha puts near-zero and exactly tied steps into the cdfs
+        draw = np.random.default_rng(seed)
+        initial = draw.dirichlet(np.full(c, alpha))
+        transition = np.stack([draw.dirichlet(np.full(c, alpha)) for _ in range(c)])
+        new, old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = _mark_chain(new, initial, transition, n)
+        want = old_mark_chain(old, initial, transition, n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert new.bit_generator.state == old.bit_generator.state

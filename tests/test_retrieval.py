@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from seqret import retrieval as rt
 from seqret.hashing import HashConfig, HashIndex, HashNetParams, HashEncoder, build_index
 from seqret.mtpp import ModelConfig, ModelParams
-from seqret.relevance import VanishingGradientError, relevance_score
+from seqret.autodiff import Tape
+from seqret.relevance import VanishingGradientError, fisher_vector, relevance_score, score_graph
 from seqret.sequences import EventSequence, RelevanceJudgments
-from seqret.unwarp import UnwarpConfig, UnwarpParams
+from seqret.unwarp import UnwarpConfig, UnwarpParams, unwarp_sequence
 
 from conftest import random_sequence
 
@@ -109,7 +110,35 @@ class TestScoring:
             got = rt.score_candidates(query, corpus.values(), score_params, unwarp)
             for cid, seq in corpus.items():
                 want = relevance_score(query, seq, unwarp, score_params)
-                assert got[cid] == pytest.approx(want, abs=1e-12), (variant, cid)
+                assert got[cid] == want, (variant, cid)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["cross", "self"]),
+           gamma=st.sampled_from([0.0, 0.1, 1.0]), nq=st.integers(2, 6),
+           warped=st.booleans())
+    def test_equals_score_graph_on_a_tape(self, seed, variant, gamma, nq, warped):
+        """The eval path and the trainer's taped ``score_graph`` give one score."""
+        rng = np.random.default_rng(seed)
+        score_params, _, unwarp = make_models(rng, variant_pair=(variant, "self"))
+        if warped:
+            unwarp = UnwarpParams.init(unwarp.config, rng, scale=0.5)
+        query = random_sequence(rng, n=nq, seq_id="q")
+        # shorter than, as long as and longer than the query: both tail
+        # branches of time_distance_graph and the branch without a tail
+        candidates = [random_sequence(rng, n=n, seq_id=f"c{n}") for n in (1, nq, nq + 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = rt.score_candidates(query, candidates, score_params, unwarp, gamma=gamma)
+            uq = unwarp_sequence(query, unwarp)
+        cond = uq if variant == "cross" else None
+        vq = fisher_vector(uq, score_params, conditioning=cond).vector
+        for c in candidates:
+            vc = fisher_vector(c, score_params, conditioning=cond).vector
+            with Tape() as tape:
+                want = score_graph(tape, tape.constant(vq), tape.constant(vc),
+                                   tape.constant(uq.times), query, c,
+                                   max(uq.horizon, c.horizon), gamma).item()
+            assert got[c.id] == want, c.id
 
     def test_gamma_scales_distance_share(self, rng):
         corpus = make_corpus(rng, n=3)
@@ -119,7 +148,7 @@ class TestScoring:
         shifted = rt.score_candidates(query, corpus.values(), score_params, unwarp, gamma=0.2)
         for cid, seq in corpus.items():
             want = relevance_score(query, seq, unwarp, score_params, gamma=0.2)
-            assert shifted[cid] == pytest.approx(want, abs=1e-12)
+            assert shifted[cid] == want
             assert shifted[cid] != base[cid]
 
     def test_self_variant_cache_reused(self, rng):
@@ -308,6 +337,11 @@ class TestPipeline:
         pipeline = rt.build_pipeline(corpus, score_params, unwarp, index_params, unwarp,
                                      config, vectors=vectors)
         assert set(pipeline.vectors) == set(corpus)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_gamma_must_be_finite_and_non_negative(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            rt.PipelineConfig(gamma=gamma)
 
     def test_random_encoder_kind(self, rng):
         corpus = make_corpus(rng, n=4)

@@ -310,3 +310,10 @@ class TestTrain:
             micro_config(learning_rate=0.0)
         with pytest.raises(ValueError):
             micro_config(batch_queries=0)
+
+    @pytest.mark.parametrize("field", ["margin", "gamma", "l2", "unbias_weight",
+                                       "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            micro_config(**{field: value})
