@@ -25,22 +25,6 @@ from seqret.trainer import TrainConfig, train
 from seqret.unwarp import UnwarpConfig, UnwarpParams, unwarp_sequence
 
 
-def build_pools(bench, test_ids, n_negatives, seed):
-    rng = np.random.default_rng(seed)
-    corpus_ids = sorted(bench.corpus)
-    pools = {}
-    for qid in sorted(test_ids):
-        pos = [p for p in bench.judgments.positives(qid) if p in bench.corpus]
-        if not pos:
-            continue
-        pos_set = set(pos)
-        negs = [c for c in corpus_ids if c not in pos_set]
-        drawn = rng.choice(len(negs), size=min(n_negatives, len(negs)),
-                           replace=False)
-        pools[qid] = (pos_set | {negs[i] for i in sorted(drawn)}, pos_set)
-    return pools
-
-
 def pooled_map(bench, pools, score_fn):
     per = {}
     for qid, (pool, pos) in pools.items():
@@ -67,7 +51,12 @@ def main(argv=None):
                                      warp="affine", warp_range=(1.25, 2.0),
                                      seed=args.gen_seed))
     split = split_queries(sorted(bench.queries), (0.4, 0.1, 0.5), seed=0)
-    pools = build_pools(bench, split.test, args.pool_negatives, seed=77)
+    rng = np.random.default_rng(77)
+    pools = {}
+    for qid in sorted(split.test):
+        pos, negs = bench.judgments.pool(qid, sorted(bench.corpus), rng, args.pool_negatives)
+        if pos:
+            pools[qid] = (set(pos) | set(negs), set(pos))
     print(f"corpus={len(bench.corpus)} queries={len(bench.queries)} "
           f"test={len(pools)}", file=sys.stderr)
 

@@ -14,6 +14,17 @@ Two properties of this tape matter for the rest of the package:
   nodes and differentiated again.  The ranking loss needs this: it is a
   function of normalized log-likelihood gradients.
 
+Backward builds only adjoints that can reach a leaf (activity analysis).
+Each Value records at construction whether a leaf lies upstream
+(``varied``); a parent that is not varied, such as a constant or
+arithmetic on constants, gets no adjoint, since nothing flows on from it.
+A ``relu`` whose mask is all zero records no vjp: the adjoint it would
+pass back is exactly zero.  Both skips drop only exact zeros, so every
+leaf gradient is the same sum (at most a -0.0 turns into +0.0), and a
+leaf that receives nothing gets explicit zeros.  Adjoints built by one
+backward reference forward Values that depend on the leaves, so they are
+varied too, and a second backward through them prunes the same way.
+
 Shapes are validated eagerly; domain violations (log of a non-positive,
 division by zero) raise ``DomainError`` instead of propagating NaNs.
 """
@@ -68,17 +79,19 @@ class Value:
     """One tape node: a float64 array plus the recipe to backpropagate it.
 
     ``parents`` and ``vjps`` are parallel tuples; ``vjps[k]`` maps the
-    adjoint of this node to the adjoint contribution of ``parents[k]``.
-    Leaves have neither.
+    adjoint of this node to the adjoint contribution of ``parents[k]``;
+    a ``None`` vjp means that contribution is exactly zero.  Leaves have
+    neither.  ``varied`` says whether some leaf lies upstream.
     """
 
-    __slots__ = ("data", "tape", "op", "is_leaf", "_idx", "_parents", "_vjps")
+    __slots__ = ("data", "tape", "op", "is_leaf", "varied", "_idx", "_parents", "_vjps")
 
     def __init__(self, data, tape, op, parents=(), vjps=(), is_leaf=False):
         self.data = data
         self.tape = tape
         self.op = op
         self.is_leaf = is_leaf
+        self.varied = is_leaf or any([p.varied for p in parents])
         self._parents = parents
         self._vjps = vjps
         tape._append(self)
@@ -141,7 +154,8 @@ class Tape:
         """Gradients of a scalar ``output`` with respect to ``wrt`` leaves.
 
         Walks nodes from ``output`` back to the start of the tape, visiting
-        each at most once.  Adjoints are built from tape primitives, so with
+        each at most once, and gives adjoints only to parents that reach a
+        leaf.  Adjoints are built from tape primitives, so with
         ``as_values=True`` the returned gradients are Values that later
         nodes (and later backward calls) can consume; with the default they
         are detached numpy arrays.
@@ -167,7 +181,7 @@ class Tape:
                 leaf_grads[idx] = g
                 continue
             for parent, vjp in zip(node._parents, node._vjps):
-                if vjp is None:
+                if vjp is None or not parent.varied:
                     continue
                 contrib = vjp(g)
                 prev = adjoint.get(parent._idx)
@@ -214,11 +228,14 @@ def _unbroadcast(g: Value, shape: tuple) -> Value:
     return g
 
 
-def _check_broadcast(op, a, b):
+def _check_broadcast(op, a, b) -> None:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or not sa or not sb:
+        return
     try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
+        np.broadcast_shapes(sa, sb)
     except ValueError as err:
-        raise ShapeError(f"{op}: cannot broadcast {a.data.shape} with {b.data.shape}") from err
+        raise ShapeError(f"{op}: cannot broadcast {sa} with {sb}") from err
 
 
 def add(a, b) -> Value:
@@ -314,7 +331,8 @@ def relu(a) -> Value:
     tape = _tape_of(a)
     a = _lift(tape, a)
     mask = (a.data > 0.0).astype(np.float64)  # slope at the kink is taken as 0
-    return Value(a.data * mask, tape, "relu", (a,), (lambda g: mul(g, mask),))
+    vjp = (lambda g: mul(g, mask)) if mask.any() else None  # None: the adjoint is 0
+    return Value(a.data * mask, tape, "relu", (a,), (vjp,))
 
 
 def square(a) -> Value:

@@ -191,10 +191,12 @@ def train_hash_net(vectors: np.ndarray, config: HashConfig) -> tuple[HashNetPara
             total, terms = soft_code_penalties(tape, soft_codes_graph(tape, leaves, vectors),
                                                config.etas)
             grads = tape.backward(total, wrt=list(leaves.values()))
-            adam_update(psi.arrays, {n: grads[leaves[n]] for n in psi.NAMES}, state,
-                        lr=config.learning_rate)
-            curve.append({"epoch": float(epoch), "loss": total.item(),
-                          **{k: v.item() for k, v in terms.items()}})
+        # the step runs after the tape is released, so the tape's copy of
+        # the vectors' transpose is freed before the step allocates
+        adam_update(psi.arrays, {n: grads[leaves[n]] for n in psi.NAMES}, state,
+                    lr=config.learning_rate)
+        curve.append({"epoch": float(epoch), "loss": total.item(),
+                      **{k: v.item() for k, v in terms.items()}})
     return psi, curve
 
 

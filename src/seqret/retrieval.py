@@ -134,8 +134,10 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
     scan stops at the first whose bound is strictly below the k-th best
     score so far (``k=None``: all candidates, so none is skipped).  Every
     returned score is exact, and ``rank_by_score(...)[:k]`` equals that of
-    scoring every candidate.
+    scoring every candidate.  A ``k`` below 1 raises ``ValueError``.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     uq = unwarp_sequence(query, unwarp)
     cond = uq if params.config.variant == "cross" else None
     vq = fisher_vector(uq, params, conditioning=cond).vector
@@ -172,16 +174,25 @@ def corpus_fisher_vectors(corpus: dict[str, EventSequence],
     """Self-variant gradient vectors for every corpus sequence.
 
     Returns (vectors, excluded); sequences whose gradient vanishes are
-    excluded from indexing and reported, not silently dropped.
+    excluded from indexing and reported, not silently dropped.  The
+    vectors are rows of one (len(corpus), dim) matrix, so a large corpus
+    holds one allocation instead of one per sequence.
     """
     vectors: dict[str, np.ndarray] = {}
     excluded: list[str] = []
+    matrix = None
     for cid, seq in corpus.items():
         try:
-            vectors[cid] = fisher_vector(seq, params).vector
+            vector = fisher_vector(seq, params).vector
         except VanishingGradientError:
             excluded.append(cid)
             warnings.warn(f"excluding {cid} from the index: vanishing gradient")
+            continue
+        if matrix is None:
+            matrix = np.empty((len(corpus), vector.size))
+        row = matrix[len(vectors)]
+        row[:] = vector
+        vectors[cid] = row
     return vectors, excluded
 
 
@@ -250,6 +261,7 @@ def build_pipeline(corpus: dict[str, EventSequence], score_params: ModelParams,
         raise ValueError("no corpus sequence produced a usable gradient vector")
     ids = sorted(vectors)
     matrix = np.stack([vectors[cid] for cid in ids])
+    vectors = dict(zip(ids, matrix))  # rows of the one matrix; the input copy is dropped
     net_seed, plane_seed, index_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(config.hash.seed).spawn(3))
     if config.encoder_kind == "trained":

@@ -98,6 +98,14 @@ class TestErrors:
         with pytest.raises(ad.ShapeError):
             ad.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("sa, sb", [((2,), (3,)), ((2, 3), (3, 2)), ((4, 1), (2, 3))])
+    def test_broadcast_mismatch(self, op, sa, sb):
+        tape = ad.Tape()
+        with pytest.raises(ad.ShapeError) as err:
+            getattr(ad, op)(tape.leaf(np.ones(sa)), tape.leaf(np.ones(sb)))
+        assert str(err.value) == f"{op}: cannot broadcast {sa} with {sb}"
+
     def test_fully_masked_row(self):
         tape, x = leafy([[1.0, 2.0]])
         with pytest.raises(ad.DomainError):
@@ -123,6 +131,16 @@ class TestBackwardStructure:
         out = ad.vsum(ad.square(x))
         g = tape.backward(out, wrt=[x, unused])
         np.testing.assert_array_equal(g[unused], np.zeros((2, 2)))
+
+    def test_leaf_behind_dead_relu_gets_zeros(self):
+        tape = ad.Tape()
+        x = tape.leaf([-1.0, -2.0])
+        w = tape.leaf([3.0])
+        out = ad.add(ad.vsum(ad.relu(ad.mul(x, w))), 1.0)
+        g = tape.backward(out, wrt=[x, w], as_values=True)
+        for leaf in (x, w):
+            assert g[leaf].op == "const"
+            assert g[leaf].data.tobytes() == np.zeros_like(leaf.data).tobytes()
 
     def test_diamond_accumulation(self):
         # x feeds two branches that rejoin; adjoints must accumulate.

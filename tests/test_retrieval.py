@@ -273,6 +273,16 @@ class TestPruning:
         assert seen == ["q2"]
         assert cached.ranking == fresh.ranking
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, small_pipeline, rng, k):
+        pipeline, corpus = small_pipeline
+        query = random_sequence(rng, seq_id="q")
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            rt.score_candidates(query, list(corpus.values())[:3], pipeline.score_params,
+                                pipeline.score_unwarp, k=k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            rt.query_topk(pipeline, query, k=k)
+
     def test_cross_scorer_fills_no_cache(self, small_pipeline, rng):
         pipeline, _ = small_pipeline
         rt.query_topk(pipeline, random_sequence(rng, seq_id="q"), k=3, exhaustive=True)
@@ -286,8 +296,12 @@ class TestCorpusVectors:
         vectors, excluded = rt.corpus_fisher_vectors(corpus, index_params)
         assert excluded == []
         assert set(vectors) == set(corpus)
-        for vec in vectors.values():
+        for cid, vec in vectors.items():
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+            assert vec.tobytes() == rt.fisher_vector(corpus[cid], index_params).vector.tobytes()
+        # rows of one matrix, not one allocation per sequence
+        base = vectors["c00"].base
+        assert base is not None and all(vec.base is base for vec in vectors.values())
 
     def test_vanishing_member_excluded(self, rng, monkeypatch):
         corpus = make_corpus(rng, n=4)
@@ -311,6 +325,8 @@ class TestPipeline:
         pipeline, corpus = small_pipeline
         assert set(pipeline.corpus) == set(corpus)
         assert set(pipeline.vectors) == set(corpus)
+        base = pipeline.vectors["c00"].base
+        assert base is not None and all(vec.base is base for vec in pipeline.vectors.values())
         assert pipeline.excluded == []
         assert pipeline.encoder.kind == "trained"
         assert pipeline.index.corpus_ids == sorted(corpus)
