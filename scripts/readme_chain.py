@@ -49,8 +49,7 @@ def steps(out: Path) -> list[list[str]]:
         ["query", "--out", str(run), *pipeline,
          "--queries", str(data / "queries.jsonl"), "--k", "10"],
         ["eval", "--out", str(run), *evaluated, "--mode", "both"],
-        ["bench", "--out", str(run), *evaluated, "--vectors", str(index / "vectors.bin"),
-         "--bits-grid", "4:6:8"],
+        ["bench", "--out", str(run), *evaluated, "--bits-grid", "4:6:8"],
     ]
 
 

@@ -1,9 +1,10 @@
 """Command line entry points: gen, train, index, query, eval, bench.
 
-Every subcommand accepts --config FILE with one key=value per line
-(keys are the long flag names with underscores); explicit flags win
-over file values, and required path flags always go on the command
-line.  Failures print a single machine-parseable line
+Every subcommand accepts --config FILE with one key=value per line.  Keys
+are the long flag names with underscores (``unwarp`` for ``--no-unwarp``);
+each value takes its flag's type and choices, a switch takes ``true`` or
+``false``.  Explicit flags win over file values, and required path flags
+always go on the command line.  Failures print a single machine-parseable line
 ``error\t<type>\t<message>`` to stderr and exit with status 1.  ``query``
 writes each query it cannot rank as ``query_id\t<type>\t<message>`` to
 ``failures.tsv`` and fails only when every query does.  ``eval`` leaves
@@ -54,18 +55,6 @@ def _parse_range(text: str, cast, parts: int = 2):
     return tuple(cast(f) for f in fields)
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -80,30 +69,38 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    file_map = _read_config_file(args.config)
-    explicit: set[str] = set()
-    for tok in argv:
-        if not tok.startswith("--"):
-            continue
-        name = tok[2:].split("=", 1)[0].replace("-", "_")
-        explicit.add(name)
-        if name.startswith("no_"):  # store_false flags keep the bare dest
-            explicit.add(name[3:])
-    known = vars(args)
-    for key, raw in file_map.items():
-        if key not in known:
+def _config_value(key: str, raw: str, action: argparse.Action):
+    """``raw`` converted by the type and choices of the flag behind ``key``."""
+    if action.nargs == 0:  # store_true / store_false
+        if raw not in ("true", "false"):
+            raise ValueError(f"config key {key!r}: expected true or false, got {raw!r}")
+        return raw == "true"
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError as err:
+        raise ValueError(f"config key {key!r}: {err}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {raw!r} is not one of {tuple(action.choices)}")
+    return value
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; --config values become defaults, so explicit flags win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    command = commands.choices[args.command]
+    flags = {a.dest: a for a in command._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
+    for key, raw in _read_config_file(args.config).items():
+        if key not in flags:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-        if key in explicit:
-            continue
-        current = known[key]
-        value = _coerce(raw)
-        # range-style flags keep their string form and are parsed later
-        if isinstance(current, str) and not isinstance(value, str):
-            value = raw.strip()
-        setattr(args, key, value)
+        defaults[key] = _config_value(key, raw, flags[key])
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _shared(parser: argparse.ArgumentParser, out_required: bool = True) -> None:
@@ -188,9 +185,7 @@ def _add_train(sub) -> None:
     p.add_argument("--noise-sigma", type=float, default=0.01,
                    help="training-time jitter on unwarped times")
     p.add_argument("--unbias-sigma", type=float, default=1.0,
-                   help="scale of the unbiasedness penalty")
-    p.add_argument("--unbias-weight", type=float, default=1.0,
-                   help="weight of the unbiasedness penalty in the loss")
+                   help="the unbiasedness penalty is weighted by 1/sigma^2; inf turns it off")
     p.add_argument("--margin", type=float, default=0.5, help="ranking hinge margin")
     p.add_argument("--gamma", type=float, default=0.1, help="weight of the distance term")
     p.add_argument("--l2", type=float, default=0.001, help="decoupled weight decay")
@@ -216,9 +211,8 @@ def _run_train(args) -> int:
         variant=args.variant, dim=args.dim, mark_count=args.marks, n_max=args.n_max,
         num_blocks=args.blocks,
         unwarp_hidden=_parse_range(args.unwarp_hidden, int),
-        n_quad=args.n_quad, noise_sigma=args.noise_sigma,
-        unbias_sigma=args.unbias_sigma, unwarp_enabled=args.unwarp,
-        unbias_weight=args.unbias_weight, margin=args.margin, gamma=args.gamma,
+        n_quad=args.n_quad, noise_sigma=args.noise_sigma, unbias_sigma=args.unbias_sigma,
+        unwarp_enabled=args.unwarp, margin=args.margin, gamma=args.gamma,
         l2=args.l2, negatives_per_query=args.negatives, pairs_per_query=args.pairs_cap,
         batch_queries=args.batch_queries, epochs=args.epochs, learning_rate=args.lr,
         eval_negatives=args.eval_negatives, seed=args.seed,
@@ -281,7 +275,6 @@ def _run_index(args) -> int:
     config = retrieval.PipelineConfig(hash=_hash_config(args), encoder_kind=args.encoder)
     pipeline = retrieval.build_pipeline(corpus, params, unwarp, params, unwarp, config)
     out = _out_dir(args)
-    retrieval.save_vectors(out / "vectors.bin", pipeline.vectors)
     save_encoder(out / "encoder.bin", pipeline.encoder)
     save_index(out / "index.bin", pipeline.index)
     with open(out / "index_meta.tsv", "w", encoding="utf-8") as fh:
@@ -432,7 +425,6 @@ def _add_bench(sub) -> None:
                        help="reduction/quality tradeoff across index geometries",
                        allow_abbrev=False)
     _eval_flags(p)
-    p.add_argument("--vectors", required=True, help="vectors.bin from `index`")
     p.add_argument("--pool-negatives", type=int, default=100)
     p.add_argument("--tables", type=int, default=10, help="hash tables per geometry")
     p.add_argument("--bits-grid", default="4:8:12",
@@ -441,22 +433,22 @@ def _add_bench(sub) -> None:
 
 def _run_bench(args) -> int:
     pipeline, queries, judgments, test_ids = _eval_inputs(args)
-    vectors = retrieval.load_vectors(args.vectors)
-    codes = {cid: pipeline.encoder.encode(vec) for cid, vec in sorted(vectors.items())}
+    codes = dict(zip(pipeline.index.corpus_ids, pipeline.index.codes))
     grid = [int(v) for v in args.bits_grid.split(":")]
+    geometries = [(str(bits), build_index(codes, args.tables, bits, args.seed)) for bits in grid]
     out = _out_dir(args)
     rows = []
-    for bits in [None, *grid]:  # None: the exhaustive reference row
-        if bits is not None:
-            pipeline.index = build_index(codes, args.tables, bits, args.seed)
+    for label, index in [("-", None), *geometries]:  # no index: the exhaustive row
+        if index is not None:
+            pipeline.index = index
         start = time.perf_counter()
         report, _ = retrieval.evaluate_protocol(pipeline, queries, judgments, test_ids,
                                                 pool_negatives=args.pool_negatives,
-                                                seed=args.seed, exhaustive=bits is None)
+                                                seed=args.seed, exhaustive=index is None)
         if report.failed:
             print(f"failed\t{','.join(report.failed)}", file=sys.stderr)
-        rows.append(("-" if bits is None else str(bits), report.reduction,
-                     report.ndcg[10], report.map, time.perf_counter() - start))
+        rows.append((label, report.reduction, report.ndcg[10], report.map,
+                     time.perf_counter() - start))
     # wall-clock seconds go to stdout only; tradeoff.tsv stays byte-deterministic
     header = "bits_per_table\treduction\tndcg@10\tmap"
     print(header + "\tseconds")
@@ -498,10 +490,8 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        args = _parse_args(argv)
         return _RUNNERS[args.command](args)
     except _ERRORS as err:
         print(f"error\t{type(err).__name__}\t{err}", file=sys.stderr)

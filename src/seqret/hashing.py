@@ -33,7 +33,6 @@ __all__ = [
     "soft_code_penalties",
     "train_hash_net",
     "random_hyperplane_codes",
-    "bucket_key",
     "build_index",
     "candidate_lookup",
     "save_encoder",
@@ -258,11 +257,6 @@ def _bucket_keys(codes, positions) -> np.ndarray:
     return (np.asarray(codes)[..., positions] > 0) @ weights
 
 
-def bucket_key(code: np.ndarray, positions: np.ndarray) -> int:
-    """Bucket id of one code in the table slicing ``positions`` (ascending)."""
-    return int(_bucket_keys(code, positions))
-
-
 def _bucket_tables(codes: np.ndarray, ids: list[str],
                    positions: np.ndarray) -> list[dict[int, list[str]]]:
     tables: list[dict[int, list[str]]] = []
@@ -278,6 +272,10 @@ def build_index(codes: dict[str, np.ndarray], tables: int, bits_per_table: int,
                 seed: int) -> HashIndex:
     if not codes:
         raise ValueError("cannot index an empty corpus")
+    if tables < 1:
+        raise ValueError(f"tables must be at least 1, got {tables}")
+    if bits_per_table < 1:
+        raise ValueError(f"bits_per_table must be at least 1, got {bits_per_table}")
     n_bits = len(next(iter(codes.values())))
     if bits_per_table > n_bits:
         raise ValueError(f"bits_per_table {bits_per_table} exceeds code width {n_bits}")

@@ -53,7 +53,6 @@ __all__ = [
     "sequence_log_likelihood",
     "grad_log_likelihood",
     "log_likelihood_graph",
-    "flatten_grad_values",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_sha256",
@@ -274,11 +273,6 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
     mark_terms = ad.sub(picked, ad.logsumexp(logits, axis=-1))
 
     return ad.add(ad.vsum(time_terms), ad.vsum(mark_terms))
-
-
-def flatten_grad_values(tape: ad.Tape, grads: dict[str, ad.Value], config: ModelConfig) -> ad.Value:
-    """Concatenate per-name adjoints into the canonical flat layout."""
-    return ad.concat([ad.reshape(grads[name], (-1,)) for name, _ in param_order(config)])
 
 
 # -- public eval-mode surface ------------------------------------------------

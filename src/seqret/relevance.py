@@ -156,8 +156,8 @@ def fisher_vector_graph(tape: ad.Tape, theta: dict[str, ad.Value], config: Model
     ll = mtpp.log_likelihood_graph(tape, theta, config, times, marks,
                                    cond_times=cond_times, cond_marks=cond_marks)
     grads = tape.backward(ll, wrt=list(theta.values()), as_values=True)
-    named = {name: grads[leaf] for name, leaf in theta.items()}
-    flat = mtpp.flatten_grad_values(tape, named, config)
+    flat = ad.concat([ad.reshape(grads[theta[name]], (-1,))
+                      for name, _ in mtpp.param_order(config)])
     norm = ad.sqrt(ad.vsum(ad.square(flat)))
     if norm.data <= NORM_FLOOR:
         raise VanishingGradientError(f"gradient norm {norm.data:.3e} below {NORM_FLOOR}")

@@ -67,7 +67,6 @@ class TrainConfig:
     noise_sigma: float = 0.01
     unbias_sigma: float = 1.0
     unwarp_enabled: bool = True
-    unbias_weight: float = 1.0
     margin: float = 0.5
     gamma: float = 0.1
     l2: float = 0.001
@@ -76,14 +75,13 @@ class TrainConfig:
     batch_queries: int = 16
     epochs: int = 10
     learning_rate: float = 0.01
-    init_scale: float = 0.02
     eval_negatives: int = 100
     seed: int = 0
+    init_scale = 0.02  # class constant, not a field: sd of the initial weights
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) and x >= 0
-                   for x in (self.margin, self.gamma, self.l2, self.unbias_weight)):
-            raise ValueError("margin, gamma, l2, unbias_weight must be finite and >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.margin, self.gamma, self.l2)):
+            raise ValueError("margin, gamma, l2 must be finite and >= 0")
         if (self.negatives_per_query < 1 or self.pairs_per_query < 1
                 or self.batch_queries < 1 or self.eval_negatives < 1):
             raise ValueError("sampling and pool sizes must be positive")
@@ -198,11 +196,11 @@ def epoch_loss(queries: dict[str, EventSequence], corpus: dict[str, EventSequenc
             term = ad.relu(ad.add(ad.sub(score(neg), score(pos)), config.margin))
             hinge_terms.append(term)
             n_pairs += 1
-        if config.unwarp_enabled and config.unbias_weight > 0:
+        if config.unwarp_enabled:
             penalties.append(unbiasedness_penalty_graph(phi, ucfg, q.horizon, tape))
     total = _fold_sum(tape, hinge_terms)
     if penalties:
-        total = ad.add(total, ad.mul(_fold_sum(tape, penalties), config.unbias_weight))
+        total = ad.add(total, _fold_sum(tape, penalties))
     return LossGraph(value=total, tape=tape, theta=theta, phi=phi, n_pairs=n_pairs)
 
 

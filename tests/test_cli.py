@@ -11,7 +11,6 @@ import pytest
 from seqret import cli
 from seqret.hashing import load_encoder, load_index
 from seqret.mtpp import load_checkpoint, save_checkpoint
-from seqret.retrieval import load_vectors
 from seqret.sequences import load_corpus, load_judgments
 
 
@@ -67,13 +66,6 @@ class TestHelpers:
         with pytest.raises(ValueError, match="':'-separated"):
             cli._parse_range("3:4:5", int)
 
-    def test_coerce(self):
-        assert cli._coerce("true") is True
-        assert cli._coerce("False") is False
-        assert cli._coerce("3") == 3 and isinstance(cli._coerce("3"), int)
-        assert cli._coerce("0.5") == 0.5
-        assert cli._coerce("3:4") == "3:4"
-
     def test_read_config_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# comment\n\nbases = 4\nwarp-range=1.0:2.0\n")
@@ -97,7 +89,7 @@ class TestHelp:
             assert name in text
 
     @pytest.mark.parametrize("command,flag", [
-        ("gen", "--warp-range"), ("train", "--unbias-weight"),
+        ("gen", "--warp-range"), ("train", "--unbias-sigma"),
         ("index", "--bits-per-table"), ("query", "--exhaustive"),
         ("eval", "--pool-negatives"), ("bench", "--bits-grid"),
     ])
@@ -172,8 +164,8 @@ class TestTrain:
 
 class TestIndex:
     def test_outputs(self, ws):
-        vectors = load_vectors(ws.idx / "vectors.bin")
-        assert len(vectors) == 16
+        assert sorted(p.name for p in ws.idx.iterdir()) == [
+            "encoder.bin", "index.bin", "index_meta.tsv"]
         encoder = load_encoder(ws.idx / "encoder.bin")
         assert encoder.kind == "trained" and encoder.psi.n_bits == 8
         index = load_index(ws.idx / "index.bin")
@@ -334,8 +326,7 @@ class TestBench:
 
     def run_bench(self, ws, out):
         run_cli(["bench", "--out", out, "--queries", ws.data / "queries.jsonl",
-                 "--judgments", ws.data / "judgments.tsv",
-                 "--vectors", ws.idx / "vectors.bin"] + self.ARGS + ws.pipeline_args)
+                 "--judgments", ws.data / "judgments.tsv"] + self.ARGS + ws.pipeline_args)
 
     def test_tradeoff_rows(self, ws, tmp_path, capsys):
         out = tmp_path / "b"
@@ -355,10 +346,21 @@ class TestBench:
 
     def test_failing_query_is_named_on_stderr(self, ws, tmp_path, capsys):
         out = tmp_path / "b"
-        run_cli(["bench", "--out", out, "--vectors", ws.idx / "vectors.bin"] + self.ARGS
+        run_cli(["bench", "--out", out] + self.ARGS
                 + with_query_a00(ws, tmp_path / "inputs", 40) + ws.pipeline_args)
         assert capsys.readouterr().err.splitlines() == ["failed\ta00:SequenceLengthError"] * 3
         assert len((out / "tradeoff.tsv").read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--bits-grid", "0:4"], "bits_per_table must be at least 1, got 0"),
+        (["--tables", 0], "tables must be at least 1, got 0"),
+    ])
+    def test_empty_geometry_is_one_error_line(self, ws, tmp_path, capsys, flags, message):
+        argv = (["bench", "--out", tmp_path / "b", "--queries", ws.data / "queries.jsonl",
+                 "--judgments", ws.data / "judgments.tsv"] + ws.pipeline_args + flags)
+        assert cli.main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error\tValueError\t{message}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_rerun_is_byte_identical(self, ws, tmp_path):
         self.run_bench(ws, tmp_path / "one")
@@ -391,20 +393,39 @@ class TestConfigFile:
     def test_store_false_flag_beats_file(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("unwarp=true\n")
-        argv = ["train", "--corpus", "c", "--queries", "q", "--judgments", "j",
-                "--out", "o", "--no-unwarp", "--config", str(cfg)]
-        args = cli.build_parser().parse_args(argv)
-        cli._apply_config_file(args, argv)
+        args = cli._parse_args(["train", "--corpus", "c", "--queries", "q", "--judgments", "j",
+                                "--out", "o", "--no-unwarp", "--config", str(cfg)])
         assert args.unwarp is False
 
     def test_file_sets_boolean(self, tmp_path):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("unwarp=false\nepochs=7\n")
-        argv = ["train", "--corpus", "c", "--queries", "q", "--judgments", "j",
-                "--out", "o", "--config", str(cfg)]
-        args = cli.build_parser().parse_args(argv)
-        cli._apply_config_file(args, argv)
-        assert args.unwarp is False and args.epochs == 7
+        cfg.write_text("unwarp=false\nepochs=7\nunbias-sigma=inf\nvariant=self\n")
+        args = cli._parse_args(["train", "--corpus", "c", "--queries", "q", "--judgments", "j",
+                                "--out", "o", "--config", str(cfg)])
+        assert args.unwarp is False and args.epochs == 7 and args.variant == "self"
+        assert args.unbias_sigma == float("inf")
+
+    @pytest.mark.parametrize("command,line", [
+        ("gen", "bases=abc"), ("gen", "bases=2.5"), ("gen", "warp=cubic"),
+        ("train", "unwarp=maybe"), ("train", "variant=foo"), ("train", "config=x"),
+        ("eval", "mode=foo"), ("query", "exhaustive=1"), ("bench", "vectors=v.bin"),
+    ])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, command, line):
+        # rejected before any input is read: none of the path flags exist
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        pipeline = ["--corpus", "c", "--score-checkpoint", "s", "--index-checkpoint", "i",
+                    "--encoder", "e", "--index", "x", "--queries", "q"]
+        paths = {"gen": [], "query": pipeline,
+                 "train": ["--corpus", "c", "--queries", "q", "--judgments", "j"],
+                 "eval": pipeline + ["--judgments", "j"], "bench": pipeline + ["--judgments", "j"]}
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--config", str(cfg)] + paths[command]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        key = line.split("=")[0]
+        assert len(err) == 1 and err[0].startswith(f"error\tValueError\tconfig key {key!r}")
+        assert not out.exists()
 
 
 class TestErrorProtocol:
@@ -424,11 +445,10 @@ class TestErrorProtocol:
         assert capsys.readouterr().err.startswith("error\tValueError\t")
 
     @pytest.mark.parametrize("command,artifact,keep", [
-        ("query", "index", 0.5), ("index", "checkpoint", 20), ("bench", "vectors", 10),
+        ("query", "index", 0.5), ("index", "checkpoint", 20),
     ])
     def test_truncated_artifact(self, ws, tmp_path, capsys, command, artifact, keep):
-        source = {"index": ws.idx / "index.bin", "checkpoint": ws.own / "checkpoint.bin",
-                  "vectors": ws.idx / "vectors.bin"}[artifact]
+        source = {"index": ws.idx / "index.bin", "checkpoint": ws.own / "checkpoint.bin"}[artifact]
         raw = source.read_bytes()
         cut = tmp_path / source.name
         cut.write_bytes(raw[:int(len(raw) * keep) if keep < 1 else keep])
@@ -439,8 +459,6 @@ class TestErrorProtocol:
                      + ["--index", cut],
             "index": ["index", "--out", out, "--corpus", ws.data / "corpus.jsonl",
                       "--checkpoint", cut],
-            "bench": ["bench", "--out", out, "--vectors", cut, "--judgments",
-                      ws.data / "judgments.tsv"] + queries + ws.pipeline_args,
         }[command]
         code = cli.main([str(a) for a in argv])
         assert code == 1
@@ -517,8 +535,7 @@ class TestErrorProtocol:
             "train": ["train", "--out", out, "--corpus", ws.data / "corpus.jsonl"] + inputs
                      + TRAIN_ARGS,
             "eval": ["eval", "--out", out] + inputs + ws.pipeline_args,
-            "bench": ["bench", "--out", out, "--vectors", ws.idx / "vectors.bin"] + inputs
-                     + ws.pipeline_args,
+            "bench": ["bench", "--out", out] + inputs + ws.pipeline_args,
         }[command] + [flag, 0]
         assert cli.main([str(a) for a in argv]) == 1
         err = capsys.readouterr().err
@@ -530,8 +547,6 @@ class TestErrorProtocol:
         inputs = ["--queries", ws.data / "queries.jsonl"]
         if command != "query":
             inputs += ["--judgments", ws.data / "judgments.tsv"]
-        if command == "bench":
-            inputs += ["--vectors", ws.idx / "vectors.bin"]
         argv = [command, "--out", tmp_path / "o"] + inputs + ws.pipeline_args + ["--gamma", gamma]
         assert cli.main([str(a) for a in argv]) == 1
         err = capsys.readouterr().err

@@ -12,7 +12,7 @@ from seqret.hashing import (
     HashEncoder,
     HashIndex,
     HashNetParams,
-    bucket_key,
+    _bucket_keys,
     build_index,
     candidate_lookup,
     hash_code,
@@ -232,13 +232,13 @@ class TestHyperplaneBaseline:
 class TestIndex:
     def test_bucket_key_example(self):
         code = np.array([1, -1, 1, -1])
-        assert bucket_key(code, np.array([0, 2])) == 3
+        assert _bucket_keys(code, np.array([0, 2])) == 3
 
     def test_bucket_key_first_position_most_significant(self):
         code = np.array([1, 1, -1])
-        assert bucket_key(code, np.array([0, 1, 2])) == 0b110
-        assert bucket_key(code, np.array([2])) == 0
-        assert bucket_key(code, np.array([1, 2])) == 0b10
+        assert _bucket_keys(code, np.array([0, 1, 2])) == 0b110
+        assert _bucket_keys(code, np.array([2])) == 0
+        assert _bucket_keys(code, np.array([1, 2])) == 0b10
 
     def test_bucket_keys_match_bit_loop_up_to_63_bits(self, rng):
         code = rng.choice([-1, 1], size=70).astype(np.int8)
@@ -247,7 +247,7 @@ class TestIndex:
             want = 0
             for pos in positions:
                 want = (want << 1) | int(code[pos] > 0)
-            assert bucket_key(code, positions) == want
+            assert int(_bucket_keys(code, positions)) == want
 
     def test_buckets_partition_corpus(self, rng):
         codes = {f"s{i}": rng.choice([-1, 1], size=8).astype(np.int8) for i in range(30)}
@@ -288,6 +288,13 @@ class TestIndex:
             build_index(codes, tables=1, bits_per_table=5, seed=0)
         with pytest.raises(ValueError):
             build_index({}, tables=1, bits_per_table=2, seed=0)
+
+    @pytest.mark.parametrize("tables,bits,name", [(3, 0, "bits_per_table"),
+                                                   (0, 2, "tables")])
+    def test_empty_geometry_rejected(self, tables, bits, name):
+        codes = {"s0": np.ones(4, dtype=np.int8), "s1": -np.ones(4, dtype=np.int8)}
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            build_index(codes, tables=tables, bits_per_table=bits, seed=0)
 
     def test_more_than_63_bits_per_table_rejected(self):
         codes = {"s0": np.ones(70, dtype=np.int8)}

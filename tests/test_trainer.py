@@ -1,5 +1,7 @@
 """Ranking loss, Adam updates, pair sampling, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,17 +155,23 @@ class TestEpochLoss:
         assert on.phi is not None
 
     def test_penalty_term_scales_with_weight(self, rng):
+        # the penalty's weight is 1/sigma^2: halving sigma quadruples it, and
+        # sigma = inf turns it off
         config, corpus, queries, params, unwarp = micro_instance(rng)
+        unwarp.arrays["b3"] = unwarp.arrays["b3"] + 0.5  # a rate away from 1
         pairs = {"q0": [("c0", "c1")]}
-        base = tr.epoch_loss(queries, corpus, pairs, params, unwarp,
-                             micro_config(unbias_weight=0.0))
-        weighted = tr.epoch_loss(queries, corpus, pairs, params, unwarp,
-                                 micro_config(unbias_weight=2.0))
+
+        def loss(sigma):
+            scaled = UnwarpParams(replace(unwarp.config, unbias_sigma=sigma), unwarp.arrays)
+            return tr.epoch_loss(queries, corpus, pairs, params, scaled, config).value.item()
+
         tape = ad.Tape()
         penalty = unbiasedness_penalty_graph(unwarp.leaves(tape), unwarp.config,
                                              queries["q0"].horizon, tape).item()
-        assert weighted.value.item() == pytest.approx(
-            base.value.item() + 2.0 * penalty, rel=1e-8)
+        assert unwarp.config.unbias_sigma == 1.0 and penalty > 0.1
+        hinge = loss(float("inf"))
+        assert loss(1.0) == pytest.approx(hinge + penalty, rel=1e-8)
+        assert loss(0.5) == pytest.approx(hinge + 4.0 * penalty, rel=1e-8)
 
     def test_gradient_matches_fd_through_everything(self, rng):
         # the whole training objective: hinge of kernel-plus-distance
@@ -311,8 +319,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             micro_config(batch_queries=0)
 
-    @pytest.mark.parametrize("field", ["margin", "gamma", "l2", "unbias_weight",
-                                       "learning_rate"])
+    @pytest.mark.parametrize("field", ["margin", "gamma", "l2", "learning_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_weights_rejected(self, field, value):
         with pytest.raises(ValueError):
