@@ -25,6 +25,16 @@ leaf that receives nothing gets explicit zeros.  Adjoints built by one
 backward reference forward Values that depend on the leaves, so they are
 varied too, and a second backward through them prunes the same way.
 
+``matmul``, ``matvec``, ``transpose``, ``gather_rows`` and ``scatter_rows``
+work on the last two axes and take leading batch axes, which broadcast:
+one graph then carries B examples, each with its own copy of a parameter
+(leaves of shape (B, ...)), and one backward of the summed outputs gives
+every example's gradient.  numpy computes a stacked product slice by slice
+with the same kernel as the 2-d product, so each example's values are the
+unbatched graph's bit for bit; ``expand`` broadcasts a per-example vector
+over positions with the adjoint of a rank-extending broadcast (a sum, even
+over one position), so signed zeros agree too.
+
 Shapes are validated eagerly; domain violations (log of a non-positive,
 division by zero) raise ``DomainError`` instead of propagating NaNs.
 """
@@ -60,6 +70,7 @@ __all__ = [
     "cumsum",
     "flip",
     "reshape",
+    "expand",
     "concat",
     "narrow",
     "gather_rows",
@@ -228,8 +239,7 @@ def _unbroadcast(g: Value, shape: tuple) -> Value:
     return g
 
 
-def _check_broadcast(op, a, b) -> None:
-    sa, sb = a.data.shape, b.data.shape
+def _check_broadcast(op, sa: tuple, sb: tuple) -> None:
     if sa == sb or not sa or not sb:
         return
     try:
@@ -241,7 +251,7 @@ def _check_broadcast(op, a, b) -> None:
 def add(a, b) -> Value:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    _check_broadcast("add", a, b)
+    _check_broadcast("add", a.data.shape, b.data.shape)
     return Value(
         a.data + b.data,
         tape,
@@ -254,7 +264,7 @@ def add(a, b) -> Value:
 def sub(a, b) -> Value:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    _check_broadcast("sub", a, b)
+    _check_broadcast("sub", a.data.shape, b.data.shape)
     return Value(
         a.data - b.data,
         tape,
@@ -270,7 +280,7 @@ def sub(a, b) -> Value:
 def mul(a, b) -> Value:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    _check_broadcast("mul", a, b)
+    _check_broadcast("mul", a.data.shape, b.data.shape)
     return Value(
         a.data * b.data,
         tape,
@@ -286,7 +296,7 @@ def mul(a, b) -> Value:
 def div(a, b) -> Value:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    _check_broadcast("div", a, b)
+    _check_broadcast("div", a.data.shape, b.data.shape)
     if np.any(b.data == 0.0):
         raise DomainError("div: denominator contains zero")
     out = Value(a.data / b.data, tape, "div", (a, b), ())
@@ -389,6 +399,19 @@ def broadcast_to(a, shape) -> Value:
     return Value(out, tape, "broadcast", (a,), (lambda g: _unbroadcast(g, a.data.shape),))
 
 
+def expand(a, axis: int, n: int) -> Value:
+    """Insert an axis of length ``n`` at ``axis``, repeating ``a`` along it.
+
+    The adjoint sums over the new axis even when ``n`` is 1, as the adjoint
+    of a rank-extending broadcast does, so ``add(x, expand(v, -2, n))`` on
+    a batch differentiates like ``add(x_b, v_b)`` on each example.
+    """
+    tape = _tape_of(a)
+    a = _lift(tape, a)
+    data = np.repeat(np.expand_dims(a.data, axis), n, axis=axis)
+    return Value(data, tape, "expand", (a,), (lambda g: vsum(g, axis=axis),))
+
+
 def dot(a, b) -> Value:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
@@ -404,45 +427,53 @@ def dot(a, b) -> Value:
 
 
 def matvec(m, v) -> Value:
+    """``m @ v`` for a matrix ``m`` (..., r, k) and a vector ``v`` (..., k)."""
     tape = _tape_of(m, v)
     m, v = _lift(tape, m), _lift(tape, v)
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(f"matvec: incompatible {m.data.shape} @ {v.data.shape}")
+    sm, sv = m.data.shape, v.data.shape
+    if len(sm) < 2 or len(sv) < 1 or sm[-1] != sv[-1]:
+        raise ShapeError(f"matvec: incompatible {sm} @ {sv}")
+    _check_broadcast("matvec", sm[:-2], sv[:-1])
+    data = m.data @ v.data if len(sv) == 1 else np.matmul(m.data, v.data[..., None])[..., 0]
+    # the vjps read shapes when called: every object a closure captures stays
+    # alive with the node, and the cyclic collector pays for each
     return Value(
-        m.data @ v.data,
+        data,
         tape,
         "matvec",
         (m, v),
         (
-            lambda g: matmul(reshape(g, (-1, 1)), reshape(v, (1, -1))),
-            lambda g: matvec(transpose(m), g),
+            lambda g: _unbroadcast(matmul(reshape(g, g.data.shape + (1,)),
+                                          reshape(v, v.data.shape[:-1] + (1, -1))), m.data.shape),
+            lambda g: _unbroadcast(matvec(transpose(m), g), v.data.shape),
         ),
     )
 
 
 def matmul(a, b) -> Value:
+    """``a @ b`` over the last two axes; leading (batch) axes broadcast."""
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible {a.data.shape} @ {b.data.shape}")
-    return Value(
-        a.data @ b.data,
-        tape,
-        "matmul",
-        (a, b),
-        (
-            lambda g: matmul(g, transpose(b)),
-            lambda g: matmul(transpose(a), g),
-        ),
-    )
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: incompatible {sa} @ {sb}")
+    if sa[:-2] == sb[:-2]:  # adjoints already have the operands' shapes
+        vjps = (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g))
+    else:  # broadcast leading axes: sum each adjoint back to its operand
+        _check_broadcast("matmul", sa[:-2], sb[:-2])
+        vjps = (lambda g: _unbroadcast(matmul(g, transpose(b)), a.data.shape),
+                lambda g: _unbroadcast(matmul(transpose(a), g), b.data.shape))
+    return Value(a.data @ b.data, tape, "matmul", (a, b), vjps)
 
 
 def transpose(a) -> Value:
+    """Swap the last two axes."""
     tape = _tape_of(a)
     a = _lift(tape, a)
-    if a.data.ndim != 2:
+    if a.data.ndim < 2:
         raise ShapeError(f"transpose: need a matrix, got {a.data.shape}")
-    return Value(a.data.T.copy(), tape, "transpose", (a,), (lambda g: transpose(g),))
+    data = a.data.T if a.data.ndim == 2 else a.data.swapaxes(-1, -2)
+    return Value(data.copy(), tape, "transpose", (a,), (lambda g: transpose(g),))
 
 
 def softmax(a, mask=None) -> Value:
@@ -568,17 +599,22 @@ def narrow(a, start: int, length: int) -> Value:
 
 
 def gather_rows(m, idx) -> Value:
-    """Select rows ``m[idx]``; the adjoint scatter-adds back."""
+    """Select rows ``m[..., idx, :]``; the adjoint scatter-adds back.
+
+    ``m`` is (..., r, d); ``idx`` is (n,), shared by every leading index,
+    or (..., n), one row list per leading index.
+    """
     tape = _tape_of(m)
     m = _lift(tape, m)
-    idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim != 2:
-        raise ShapeError(f"gather_rows: need a matrix, got {m.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {m.data.shape[0]} rows")
-    nrows = m.data.shape[0]
+    shape = m.data.shape
+    if len(shape) < 2:
+        raise ShapeError(f"gather_rows: need a matrix, got {shape}")
+    idx, where = _row_index("gather_rows", idx, shape[:-2])
+    nrows = shape[-2]
+    if idx.size and (idx.min() < 0 or idx.max() >= nrows):
+        raise ShapeError(f"gather_rows: index out of range for {nrows} rows")
     return Value(
-        m.data[idx].copy(),
+        m.data[where],
         tape,
         "gather_rows",
         (m,),
@@ -587,12 +623,29 @@ def gather_rows(m, idx) -> Value:
 
 
 def scatter_rows(g, idx, nrows: int) -> Value:
-    """Rows of ``g`` added into a zero matrix at ``idx`` (duplicates accumulate)."""
+    """Rows of ``g`` (..., n, d) added into zeros (..., nrows, d) at ``idx``
+    (duplicates accumulate in order)."""
     tape = _tape_of(g)
     g = _lift(tape, g)
-    idx = np.asarray(idx, dtype=np.intp)
-    if g.data.ndim != 2 or idx.shape[0] != g.data.shape[0]:
-        raise ShapeError(f"scatter_rows: {g.data.shape} rows vs {idx.shape} indices")
-    out = np.zeros((nrows, g.data.shape[1]))
-    np.add.at(out, idx, g.data)
+    shape = g.data.shape
+    if len(shape) < 2:
+        raise ShapeError(f"scatter_rows: need a matrix, got {shape}")
+    idx, where = _row_index("scatter_rows", idx, shape[:-2])
+    if idx.shape[-1] != shape[-2]:
+        raise ShapeError(f"scatter_rows: {shape} rows vs {idx.shape} indices")
+    out = np.zeros(shape[:-2] + (nrows, shape[-1]))
+    np.add.at(out, where, g.data)
     return Value(out, tape, "scatter_rows", (g,), (lambda gg: gather_rows(gg, idx),))
+
+
+def _row_index(op, idx, lead: tuple):
+    """Row indices and the index tuple that applies them under the leading
+    axes ``lead``: a shared (n,) vector, or one (..., n) row list each."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim == 1:
+        return idx, (slice(None),) * len(lead) + (idx,)
+    if idx.shape[:-1] != lead:
+        raise ShapeError(f"{op}: indices {idx.shape} do not fit leading axes {lead}")
+    outer = tuple(np.arange(n).reshape((-1,) + (1,) * (len(lead) - k))
+                  for k, n in enumerate(lead))
+    return idx, outer + (idx,)

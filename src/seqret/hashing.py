@@ -13,6 +13,7 @@ seed); loading rebuilds the tables with the code that built them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,8 @@ class HashConfig:
             raise ValueError("n_bits must be at least 2")
         if self.hidden < 1:
             raise ValueError("hidden must be positive")
-        if len(self.etas) != 3 or any(e < 0 for e in self.etas):
-            raise ValueError("etas must be three non-negative weights")
+        if len(self.etas) != 3 or not all(0 <= e < math.inf for e in self.etas):
+            raise ValueError(f"etas must be three finite non-negative weights, got {self.etas}")
         total = float(sum(self.etas))
         if total <= 0:
             raise ValueError("etas must not all be zero")
@@ -74,8 +75,8 @@ class HashConfig:
             object.__setattr__(self, "etas", tuple(float(e) / total for e in self.etas))
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.tables < 1:
             raise ValueError("tables must be positive")
         if not 1 <= self.bits_per_table <= self.n_bits:

@@ -52,6 +52,7 @@ __all__ = [
     "param_order",
     "sequence_log_likelihood",
     "grad_log_likelihood",
+    "grad_log_likelihoods",
     "log_likelihood_graph",
     "save_checkpoint",
     "load_checkpoint",
@@ -152,8 +153,13 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
 
-    def leaves(self, tape: ad.Tape) -> dict[str, ad.Value]:
-        return {name: tape.leaf(self.arrays[name], f"theta.{name}") for name, _ in param_order(self.config)}
+    def leaves(self, tape: ad.Tape, batch: int | None = None) -> dict[str, ad.Value]:
+        """One leaf per parameter; with ``batch``, each leaf stacks that many
+        copies, shape (batch, ...), one per example of a batched graph."""
+        arrays = {name: self.arrays[name] for name, _ in param_order(self.config)}
+        if batch is not None:
+            arrays = {name: np.repeat(arr[None], batch, axis=0) for name, arr in arrays.items()}
+        return {name: tape.leaf(arr, f"theta.{name}") for name, arr in arrays.items()}
 
 
 def _check_length(n: int, config: ModelConfig, what: str) -> None:
@@ -163,8 +169,20 @@ def _check_length(n: int, config: ModelConfig, what: str) -> None:
         raise SequenceLengthError(f"{what}: length {n} exceeds n_max={config.n_max}")
 
 
+def _row_matrix(v: ad.Value) -> ad.Value:
+    """A vector parameter (d,), or per example (B, d), as a (..., 1, d) matrix."""
+    return ad.reshape(v, v.shape[:-1] + (1, v.shape[-1]))
+
+
+def _row(v: ad.Value, n: int) -> ad.Value:
+    """A vector parameter for the n positions of (n, d) or (B, n, d): itself
+    if unbatched (it broadcasts), else expanded to (B, n, d)."""
+    return v if v.data.ndim == 1 else ad.expand(v, -2, n)
+
+
 def _gaps_graph(tape: ad.Tape, times) -> ad.Value:
-    """Inter-arrival gaps with the first gap measured from 0."""
+    """Inter-arrival gaps (along the last axis) with the first gap measured
+    from 0."""
     if isinstance(times, ad.Value):
         n = times.data.shape[0]
         diff = np.eye(n) - np.eye(n, k=-1)
@@ -174,14 +192,14 @@ def _gaps_graph(tape: ad.Tape, times) -> ad.Value:
 
 
 def _embed_graph(tape, theta, config: ModelConfig, times, gaps, marks) -> ad.Value:
-    n = len(marks)
+    n = marks.shape[-1]
     _check_length(n, config, "embed")
     times_v = times if isinstance(times, ad.Value) else tape.constant(times)
-    d = config.dim
+    col = times_v.shape + (1,)
     y = ad.gather_rows(theta["embed_mark"], marks)
-    y = ad.add(y, ad.matmul(ad.reshape(times_v, (n, 1)), ad.reshape(theta["w_time"], (1, d))))
-    y = ad.add(y, ad.matmul(ad.reshape(gaps, (n, 1)), ad.reshape(theta["w_gap"], (1, d))))
-    y = ad.add(y, theta["b_embed"])
+    y = ad.add(y, ad.matmul(ad.reshape(times_v, col), _row_matrix(theta["w_time"])))
+    y = ad.add(y, ad.matmul(ad.reshape(gaps, col), _row_matrix(theta["w_gap"])))
+    y = ad.add(y, _row(theta["b_embed"], n))
     y = ad.add(y, ad.gather_rows(theta["pos"], np.arange(n)))
     return y
 
@@ -189,7 +207,7 @@ def _embed_graph(tape, theta, config: ModelConfig, times, gaps, marks) -> ad.Val
 def _attention_graph(tape, theta, config: ModelConfig, y_scored: ad.Value,
                      y_cond: ad.Value | None) -> ad.Value:
     scale = 1.0 / np.sqrt(config.dim)
-    n = y_scored.data.shape[0]
+    n = y_scored.shape[-2]
     mask = np.tril(np.ones((n, n), dtype=bool)) if y_cond is None else None
     stream = y_scored
     for b in range(config.num_blocks):
@@ -209,10 +227,11 @@ def _states_graph(tape, theta, config: ModelConfig, context: ad.Value) -> ad.Val
     Row k (k = 0..n-1) conditions event k+1 and equals the output-layer
     sum over the first k events (row 0 is the learned start vector).
     """
-    n = context.data.shape[0]
+    n = context.shape[-2]
     f = ad.add(
-        ad.mul(theta["w_out"], ad.relu(ad.add(ad.mul(context, theta["w_ff"]), theta["b_ff"]))),
-        theta["b_out"],
+        ad.mul(_row(theta["w_out"], n),
+               ad.relu(ad.add(ad.mul(context, _row(theta["w_ff"], n)), _row(theta["b_ff"], n)))),
+        _row(theta["b_out"], n),
     )
     # Row k of the scoring states is the sum of f over events < k+1; the
     # strictly-lower-triangular matmul shifts the cumulative sum by one.
@@ -220,7 +239,7 @@ def _states_graph(tape, theta, config: ModelConfig, context: ad.Value) -> ad.Val
     shifted = ad.matmul(tape.constant(shift), f)
     first = np.zeros((n, 1))
     first[0, 0] = 1.0
-    return ad.add(shifted, ad.matmul(tape.constant(first), ad.reshape(theta["start"], (1, -1))))
+    return ad.add(shifted, ad.matmul(tape.constant(first), _row_matrix(theta["start"])))
 
 
 def _encode_graph(tape, theta, config: ModelConfig, times, gaps, marks,
@@ -243,6 +262,15 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
 
     Used directly by the trainer, where query timestamps are functions of
     the unwarp parameters and must stay differentiable.
+
+    Batched form: ``times`` and ``marks`` are (B, n) arrays of B sequences
+    of one length, each with its own copy of the parameters (``theta``
+    from ``ModelParams.leaves(tape, batch=B)``), and the result is the (B,)
+    vector of their log-likelihoods.  Every example is computed with the
+    same per-slice operations as the unbatched graph, so its value and its
+    gradient (of the sum, with respect to its own parameter copy) are
+    those of the unbatched graph bit for bit.  Conditioning stays one
+    shared (unbatched) sequence.
     """
     marks = np.asarray(marks, dtype=np.int64)
     gaps = _gaps_graph(tape, times)
@@ -254,9 +282,10 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
         cond_gaps = _gaps_graph(tape, cond_times)
     states = _encode_graph(tape, theta, config, times, gaps, marks,
                            cond_times=cond_times, cond_gaps=cond_gaps, cond_marks=cond_marks)
-    n, c = len(marks), config.mark_count
+    n, c = marks.shape[-1], config.mark_count
 
-    head = ad.add(ad.matmul(states, ad.transpose(theta["W_time_head"])), theta["b_time_head"])
+    head = ad.add(ad.matmul(states, ad.transpose(theta["W_time_head"])),
+                  _row(theta["b_time_head"], n))
     mu = ad.matvec(head, tape.constant(np.array([1.0, 0.0])))
     log_sigma = ad.matvec(head, tape.constant(np.array([0.0, 1.0])))
     sigma = ad.exp(log_sigma)
@@ -267,12 +296,13 @@ def log_likelihood_graph(tape, theta, config: ModelConfig, times, marks,
         ad.add(0.5 * LOG_2PI, ad.div(ad.square(dev), ad.mul(2.0, ad.square(sigma)))),
     )
 
-    logits = ad.add(ad.matmul(states, ad.transpose(theta["W_mark_head"])), theta["b_mark_head"])
+    logits = ad.add(ad.matmul(states, ad.transpose(theta["W_mark_head"])),
+                    _row(theta["b_mark_head"], n))
     onehot = np.eye(c)[marks]
-    picked = ad.vsum(ad.mul(logits, tape.constant(onehot)), axis=1)
+    picked = ad.vsum(ad.mul(logits, tape.constant(onehot)), axis=-1)
     mark_terms = ad.sub(picked, ad.logsumexp(logits, axis=-1))
 
-    return ad.add(ad.vsum(time_terms), ad.vsum(mark_terms))
+    return ad.add(ad.vsum(time_terms, axis=-1), ad.vsum(mark_terms, axis=-1))
 
 
 # -- public eval-mode surface ------------------------------------------------
@@ -292,14 +322,39 @@ def sequence_log_likelihood(seq: EventSequence, params: ModelParams,
 def grad_log_likelihood(seq: EventSequence, params: ModelParams,
                         conditioning: EventSequence | None = None) -> np.ndarray:
     """Flat gradient of the log-likelihood in canonical parameter order."""
+    return grad_log_likelihoods([seq], params, conditioning=conditioning)[0]
+
+
+def grad_log_likelihoods(seqs, params: ModelParams,
+                         conditioning: EventSequence | None = None) -> list[np.ndarray]:
+    """Flat log-likelihood gradients of equal-length sequences, one tape.
+
+    Each sequence gets its own copy of the parameters, so one backward of
+    the summed log-likelihoods gives every sequence's gradient as the
+    adjoint of its own copy (Goodfellow, arXiv:1510.01799).  Each gradient
+    equals the unbatched graph's bit for bit, up to the sign of a zero
+    where a feed-forward relu is dead on one sequence but not on another.
+    """
+    seqs = list(seqs)
+    lengths = {len(s) for s in seqs}
+    if len(lengths) != 1:
+        raise ValueError(f"one tape needs sequences of one length, got lengths {sorted(lengths)}")
+    if len(seqs) == 1:  # no batch axis: the unbatched graph is the smaller one
+        batch, times, marks = None, seqs[0].times, seqs[0].marks
+    else:
+        batch = len(seqs)
+        times, marks = np.stack([s.times for s in seqs]), np.stack([s.marks for s in seqs])
     with ad.Tape() as tape:
-        theta = params.leaves(tape)
+        theta = params.leaves(tape, batch=batch)
         cond_times = conditioning.times if conditioning is not None else None
         cond_marks = conditioning.marks if conditioning is not None else None
-        ll = log_likelihood_graph(tape, theta, params.config, seq.times, seq.marks,
+        ll = log_likelihood_graph(tape, theta, params.config, times, marks,
                                   cond_times=cond_times, cond_marks=cond_marks)
-        grads = tape.backward(ll, wrt=list(theta.values()))
-    return np.concatenate([np.ravel(grads[theta[n]]) for n, _ in param_order(params.config)])
+        grads = tape.backward(ll if batch is None else ad.vsum(ll), wrt=list(theta.values()))
+    per_param = [grads[theta[n]] for n, _ in param_order(params.config)]
+    if batch is None:
+        return [np.concatenate([np.ravel(g) for g in per_param])]
+    return [np.concatenate([g[b].ravel() for g in per_param]) for b in range(batch)]
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
     "time_distance",
     "sim_score",
     "fisher_vector",
+    "fisher_vectors",
     "fisher_kernel",
     "relevance_score",
     "distance_term",
@@ -110,9 +111,35 @@ def unit_vector(grad: np.ndarray, label: str = "gradient") -> np.ndarray:
 
 def fisher_vector(seq: EventSequence, params: ModelParams,
                   conditioning: EventSequence | None = None) -> FisherVector:
-    """Unit-norm log-likelihood gradient of one sequence."""
+    """Unit-norm log-likelihood gradient of one sequence (``fisher_vectors``
+    with one sequence)."""
     grad = mtpp.grad_log_likelihood(seq, params, conditioning=conditioning)
     return FisherVector(vector=unit_vector(grad, seq.id))
+
+
+def fisher_vectors(seqs, params: ModelParams,
+                   conditioning: EventSequence | None = None) -> list[np.ndarray | None]:
+    """Unit-norm log-likelihood gradients of several sequences, in order.
+
+    Sequences of one length share one tape (``mtpp.grad_log_likelihoods``);
+    lengths are never padded, since extra rows change the bits of a matrix
+    product.  Each vector equals ``fisher_vector`` of its sequence.  An
+    entry is None where the gradient vanishes; the others are unaffected.
+    """
+    seqs = list(seqs)
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
+    out: list[np.ndarray | None] = [None] * len(seqs)
+    for members in groups.values():
+        grads = mtpp.grad_log_likelihoods([seqs[i] for i in members], params,
+                                          conditioning=conditioning)
+        for i, grad in zip(members, grads):
+            try:
+                out[i] = unit_vector(grad, seqs[i].id)
+            except VanishingGradientError:
+                pass
+    return out
 
 
 def distance_term(uq: EventSequence, q: EventSequence, c: EventSequence,

@@ -28,6 +28,7 @@ train-mode only; evaluation is deterministic with eta = 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -67,8 +68,10 @@ class UnwarpConfig:
             raise ValueError(f"hidden must be two positive widths, got {self.hidden}")
         if self.n_quad < 1:
             raise ValueError("n_quad must be >= 1")
-        if self.noise_sigma < 0 or self.unbias_sigma <= 0:
-            raise ValueError("noise_sigma must be >= 0 and unbias_sigma > 0")
+        # written so that NaN fails them; unbias_sigma = inf turns the penalty off
+        if not (0 <= self.noise_sigma < math.inf and self.unbias_sigma > 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0 and unbias_sigma > 0, "
+                             f"got {self.noise_sigma} and {self.unbias_sigma}")
 
 
 class UnwarpParams:

@@ -261,6 +261,29 @@ class TestFiniteDifferences:
         analytic = tape.backward(out, wrt=[m])[m]
         assert_grad_close(analytic, fd_gradient(f, m0.ravel()).reshape(4, 3))
 
+    def test_batched_matrix_ops_fd(self, rng):
+        """Leading batch axes: per-example and shared gathers, batched and
+        broadcast matmuls, batched matvec, transpose and expand."""
+        shapes = {"m": (2, 5, 4), "w": (2, 4, 4), "shared": (4, 2), "u": (4,), "c": (2, 4)}
+        sizes = [int(np.prod(s)) for s in shapes.values()]
+        rows = np.array([[0, 4, 4], [3, 1, 0]])
+
+        def build(tape, flat):
+            parts = np.split(flat, np.cumsum(sizes)[:-1])
+            x = {k: tape.leaf(p.reshape(s)) for (k, s), p in zip(shapes.items(), parts)}
+            y = ad.add(ad.gather_rows(x["m"], rows), ad.gather_rows(x["m"], [2, 2, 1]))
+            z = ad.matmul(y, ad.transpose(x["w"]))
+            out = ad.vsum(ad.tanh(ad.matmul(z, x["shared"])))
+            out = ad.add(out, ad.vsum(ad.square(ad.matvec(z, x["u"]))))
+            return ad.add(out, ad.vsum(ad.mul(ad.expand(x["c"], -2, 3), y))), x
+
+        flat0 = rng.normal(size=sum(sizes))
+        tape = ad.Tape()
+        out, x = build(tape, flat0)
+        g = tape.backward(out, wrt=list(x.values()))
+        analytic = np.concatenate([g[v].ravel() for v in x.values()])
+        assert_grad_close(analytic, fd_gradient(lambda f: build(ad.Tape(), f)[0].item(), flat0))
+
     def test_broadcast_add_fd(self, rng):
         x0 = rng.normal(size=(3, 4))
         b0 = rng.normal(size=4)

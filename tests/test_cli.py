@@ -439,6 +439,25 @@ class TestErrorProtocol:
         assert err.startswith("error\tFileNotFoundError\t")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--unbias-sigma", "nan"), ("train", "--noise-sigma", "nan"),
+        ("index", "--hash-lr", "nan"), ("index", "--etas", "nan:0.3:0.3"),
+    ])
+    def test_nan_setting_is_one_error_line(self, ws, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        argv = {
+            "train": ["train", "--out", out, "--corpus", ws.data / "corpus.jsonl",
+                      "--queries", ws.data / "queries.jsonl",
+                      "--judgments", ws.data / "judgments.tsv"] + TRAIN_ARGS,
+            "index": ["index", "--out", out, "--corpus", ws.data / "corpus.jsonl",
+                      "--checkpoint", ws.own / "checkpoint.bin", "--bits", 8, "--hidden", 8,
+                      "--hash-epochs", 4, "--tables", 4, "--bits-per-table", 4],
+        }[command] + [flag, value]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_invalid_value(self, tmp_path, capsys):
         code = cli.main(["gen", "--out", str(tmp_path / "o"), "--bases", "0"])
         assert code == 1

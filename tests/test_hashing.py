@@ -199,6 +199,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             HashConfig(n_bits=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("etas", (float("nan"), 0.3, 0.3)), ("etas", (0.4, float("inf"), 0.3)),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HashConfig(**{field: value})
+
 
 class TestHyperplaneBaseline:
     def test_deterministic_and_sign_valued(self, rng):

@@ -4,6 +4,8 @@ differences, and the checkpoint format."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqret import autodiff as ad
 from seqret import mtpp
@@ -323,6 +325,88 @@ class TestLikelihood:
         ll = mtpp.sequence_log_likelihood(seq3(), params)
         assert isinstance(ll, ad.Value)
         assert isinstance(ll.tape, ad.Tape)
+
+
+def unbatched_gradient(seq, params, cond=None):
+    """The 1-D graph's gradient: shared parameter leaves, one backward."""
+    with ad.Tape() as tape:
+        theta = params.leaves(tape)
+        ll = mtpp.log_likelihood_graph(
+            tape, theta, params.config, seq.times, seq.marks,
+            cond_times=None if cond is None else cond.times,
+            cond_marks=None if cond is None else cond.marks)
+        grads = tape.backward(ll, wrt=list(theta.values()))
+    return np.concatenate([np.ravel(grads[theta[n]]) for n, _ in mtpp.param_order(params.config)])
+
+
+def relu_inputs(seq, params, cond=None):
+    """Input of the feed-forward relu in the 1-D graph of ``seq``."""
+    seen = []
+    real = ad.relu
+
+    def spy(a):
+        seen.append(a.data.copy())
+        return real(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "relu", spy)
+        unbatched_gradient(seq, params, cond)
+    return seen[0]
+
+
+class TestBatchedGradients:
+    """``grad_log_likelihoods`` puts a group of equal-length sequences on
+    one tape, each with its own copy of the parameters."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["self", "cross"]),
+           size=st.integers(1, 8), n=st.integers(1, 8), n_cond=st.integers(1, 8),
+           dim=st.sampled_from([3, 8, 16]), blocks=st.integers(1, 2))
+    def test_rows_equal_unbatched_gradients_bit_for_bit(self, seed, variant, size, n, n_cond,
+                                                        dim, blocks):
+        rng = np.random.default_rng(seed)
+        cfg, params = make_model(variant=variant, dim=dim, num_blocks=blocks, seed=seed % 1000)
+        seqs = [random_sequence(rng, n=n, seq_id=f"s{b}") for b in range(size)]
+        cond = random_sequence(rng, n=n_cond, seq_id="q") if variant == "cross" else None
+        rows = mtpp.grad_log_likelihoods(seqs, params, conditioning=cond)
+        assert len(rows) == size
+        for seq, row in zip(seqs, rows):
+            assert row.tobytes() == unbatched_gradient(seq, params, cond).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["self", "cross"]),
+           size=st.integers(2, 8), n=st.integers(1, 8))
+    def test_dead_relu_row_differs_only_in_signed_zeros(self, seed, variant, size, n):
+        """On one example the feed-forward relu is dead, on another live.
+        The unbatched graph sends that example no adjoint through the relu
+        (explicit zeros); the batched one sends it g * 0."""
+        rng = np.random.default_rng(seed)
+        cfg, params = make_model(variant=variant, dim=4, seed=seed % 1000)
+        params.arrays["b_ff"] = np.zeros(cfg.dim)
+        seqs = [random_sequence(rng, n=n, seq_id=f"s{b}") for b in range(size)]
+        cond = random_sequence(rng, n=4, seq_id="q") if variant == "cross" else None
+        # b_ff just below the dead example's largest input kills its relu
+        pre = [relu_inputs(seq, params, cond) for seq in seqs]
+        dead = int(np.argmin([p.max() for p in pre]))
+        params.arrays["b_ff"] = -pre[dead].max(axis=0)
+        live = [b for b, p in enumerate(pre) if np.any(p + params.arrays["b_ff"] > 0)]
+        assume(live)
+        assert not np.any(relu_inputs(seqs[dead], params, cond) > 0)
+        rows = mtpp.grad_log_likelihoods(seqs, params, conditioning=cond)
+        for b, (seq, row) in enumerate(zip(seqs, rows)):
+            want = unbatched_gradient(seq, params, cond)
+            if b != dead and np.any(relu_inputs(seq, params, cond) > 0):
+                assert row.tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(row, want)
+                differ = row.view(np.int64) != want.view(np.int64)
+                assert np.all(row[differ] == 0.0)
+
+    def test_lengths_must_agree(self, rng):
+        _, params = make_model()
+        with pytest.raises(ValueError, match="one length"):
+            mtpp.grad_log_likelihoods([random_sequence(rng, n=3), random_sequence(rng, n=4)],
+                                      params)
 
 
 class TestParamsAndCheckpoint:

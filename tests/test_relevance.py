@@ -139,6 +139,30 @@ class TestFisherVector:
         with pytest.raises(VanishingGradientError):
             fisher_vector(random_sequence(rng), params)
 
+    @pytest.mark.parametrize("variant", ["self", "cross"])
+    def test_batched_vectors_equal_one_at_a_time(self, rng, variant):
+        params = make_model(variant=variant, seed=3)
+        seqs = [random_sequence(rng, n=n, seq_id=f"s{i}") for i, n in enumerate([3, 5, 3, 3, 5, 2])]
+        cond = random_sequence(rng, seq_id="q") if variant == "cross" else None
+        got = relevance.fisher_vectors(seqs, params, conditioning=cond)
+        for seq, vec in zip(seqs, got):
+            assert vec.tobytes() == fisher_vector(seq, params, conditioning=cond).vector.tobytes()
+
+    def test_vanishing_row_leaves_the_rest_of_its_group(self, rng, monkeypatch):
+        params = make_model(seed=3)
+        seqs = [random_sequence(rng, n=4, seq_id=f"s{i}") for i in range(3)]
+        want = [fisher_vector(seq, params).vector for seq in seqs]
+        real = mtpp.grad_log_likelihoods
+
+        def flaky(group, params, conditioning=None):
+            grads = real(group, params, conditioning=conditioning)
+            return [np.zeros_like(g) if seq.id == "s1" else g for seq, g in zip(group, grads)]
+
+        monkeypatch.setattr(mtpp, "grad_log_likelihoods", flaky)
+        got = relevance.fisher_vectors(seqs, params)
+        assert got[1] is None
+        assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
+
 
 class TestFisherKernel:
     @pytest.mark.parametrize("variant", ["self", "cross"])

@@ -12,7 +12,8 @@ from seqret import retrieval as rt
 from seqret.hashing import HashConfig, HashIndex, HashNetParams, HashEncoder, build_index
 from seqret.mtpp import ModelConfig, ModelParams
 from seqret.autodiff import Tape
-from seqret.relevance import VanishingGradientError, fisher_vector, relevance_score, score_graph
+from seqret.relevance import (VanishingGradientError, distance_term, fisher_vector,
+                              relevance_score, score_graph)
 from seqret.sequences import EventSequence, RelevanceJudgments
 from seqret.unwarp import UnwarpConfig, UnwarpParams, unwarp_sequence
 
@@ -170,18 +171,50 @@ class TestScoring:
     def test_vanishing_candidate_skipped(self, rng, monkeypatch):
         corpus = make_corpus(rng, n=3)
         score_params, _, unwarp = make_models(rng)
-        real = rt.fisher_vector
-
-        def flaky(seq, params, conditioning=None):
-            if seq.id == "c01":
-                raise VanishingGradientError("forced")
-            return real(seq, params, conditioning=conditioning)
-
-        monkeypatch.setattr(rt, "fisher_vector", flaky)
+        monkeypatch.setattr(rt, "fisher_vectors", vanishing_rows(rt.fisher_vectors, {"c01"}))
         query = random_sequence(rng, seq_id="q")
         with pytest.warns(UserWarning, match="c01"):
             scores = rt.score_candidates(query, corpus.values(), score_params, unwarp)
         assert set(scores) == {"c00", "c02"}
+
+
+class TestDistanceBounds:
+    """``_distance_bounds`` screens candidates; it must never fall below the
+    exact ``distance_term`` a scored candidate gets."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.1, 1.0]),
+           nq=st.integers(1, 8), warped=st.booleans())
+    def test_never_below_distance_term(self, seed, gamma, nq, warped):
+        rng = np.random.default_rng(seed)
+        unwarp = UnwarpParams.identity(UnwarpConfig(hidden=(8, 8), n_quad=16))
+        if warped:  # T may then come from the unwarped query horizon
+            unwarp = UnwarpParams.init(unwarp.config, rng, scale=0.5)
+        query = random_sequence(rng, n=nq, seq_id="q")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            uq = unwarp_sequence(query, unwarp)
+        lengths = [1, max(1, nq - 1), nq, nq + 1, nq + 4] + list(rng.integers(1, 12, size=4))
+        candidates = [random_sequence(rng, n=int(n), seq_id=f"c{i}")
+                      for i, n in enumerate(lengths)]
+        bounds = rt._distance_bounds(uq, query, candidates, gamma)
+        for c, bound in zip(candidates, bounds):
+            exact = distance_term(uq, query, c, gamma)
+            assert bound >= exact, c.id
+            assert bound - exact <= 2e-9 * (1.0 + abs(exact)), c.id
+
+    def test_no_candidates(self, rng):
+        query = random_sequence(rng, seq_id="q")
+        assert rt._distance_bounds(query, query, [], 0.1).shape == (0,)
+
+
+def vanishing_rows(real, ids):
+    """``fisher_vectors`` whose rows for ``ids`` vanish (None)."""
+    def flaky(seqs, params, conditioning=None):
+        seqs = list(seqs)
+        vectors = real(seqs, params, conditioning=conditioning)
+        return [None if seq.id in ids else vec for seq, vec in zip(seqs, vectors)]
+    return flaky
 
 
 def bare_pipeline(corpus, score_params, index_params, unwarp, gamma=0.1):
@@ -206,22 +239,21 @@ class TestPruning:
         rng = np.random.default_rng(seed)
         score_params, _, unwarp = make_models(rng, variant_pair=(variant, "self"))
         query = random_sequence(rng, seq_id="q")
-        candidates = [random_sequence(rng, seq_id=f"c{i}") for i in range(n)]
+        # shorter than, as long as and longer than the query, so that a chunk
+        # of k spans several length groups
+        nq = len(query)
+        candidates = [random_sequence(rng, n=int(rng.choice([1, nq, nq, nq + 2])),
+                                      seq_id=f"c{i}") for i in range(n)]
         # exact ties: one sequence under several ids
         candidates += [replace(candidates[0], id=f"d{j}") for j in range(copies)]
         if with_query:  # kernel about 1
             candidates.append(replace(query, id="cq"))
         k = data.draw(st.integers(1, len(candidates) + 2), label="k")
         vanishing = data.draw(st.sampled_from([c.id for c in candidates]), label="vanishing")
-        real = rt.fisher_vector
-
-        def flaky(seq, params, conditioning=None):
-            if vanish and seq.id == vanishing:
-                raise VanishingGradientError("forced")
-            return real(seq, params, conditioning=conditioning)
+        flaky = vanishing_rows(rt.fisher_vectors, {vanishing} if vanish else set())
 
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            mp.setattr(rt, "fisher_vector", flaky)
+            mp.setattr(rt, "fisher_vectors", flaky)
             warnings.simplefilter("ignore")
             full = rt.score_candidates(query, candidates, score_params, unwarp, gamma=gamma)
             pruned = rt.score_candidates(query, candidates, score_params, unwarp,
@@ -261,14 +293,15 @@ class TestPruning:
         assert set(pipeline.score_vectors) == set(corpus)
         fresh = rt.query_topk(bare_pipeline(corpus, score_params, index_params, unwarp),
                               q2, k=len(corpus), exhaustive=True)
-        real = rt.fisher_vector
+        real = rt.fisher_vectors
         seen = []
 
-        def counting(seq, params, conditioning=None):
-            seen.append(seq.id)
-            return real(seq, params, conditioning=conditioning)
+        def counting(seqs, params, conditioning=None):
+            seqs = list(seqs)
+            seen.extend(seq.id for seq in seqs)
+            return real(seqs, params, conditioning=conditioning)
 
-        monkeypatch.setattr(rt, "fisher_vector", counting)
+        monkeypatch.setattr(rt, "fisher_vectors", counting)
         cached = rt.query_topk(pipeline, q2, k=len(corpus), exhaustive=True)
         assert seen == ["q2"]
         assert cached.ranking == fresh.ranking

@@ -276,3 +276,11 @@ class TestParams:
             uw.UnwarpConfig(n_quad=0)
         with pytest.raises(ValueError):
             uw.UnwarpConfig(unbias_sigma=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("noise_sigma", -0.1), ("unbias_sigma", float("nan")),
+    ])
+    def test_nan_and_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            uw.UnwarpConfig(**{field: value})
