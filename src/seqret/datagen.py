@@ -12,6 +12,7 @@ labeled.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -60,18 +61,19 @@ class GenConfig:
             raise ValueError("subs_range must satisfy 2 <= lo <= hi (query leaves one out)")
         if not 1 <= self.window_range[0] <= self.window_range[1]:
             raise ValueError("window_range must satisfy 1 <= lo <= hi")
-        if self.mu_range[0] > self.mu_range[1] or self.sigma_range[0] > self.sigma_range[1]:
-            raise ValueError("parameter ranges must be ordered")
-        if self.sigma_range[0] <= 0:
-            raise ValueError("sigma must be positive")
+        # written so that NaN and infinities fail them
+        if not -math.inf < self.mu_range[0] <= self.mu_range[1] < math.inf:
+            raise ValueError(f"mu_range must be finite and ordered: {self.mu_range}")
+        if not 0 < self.sigma_range[0] <= self.sigma_range[1] < math.inf:
+            raise ValueError(f"sigma_range must be positive, finite, ordered: {self.sigma_range}")
         if self.mark_count < 2:
             raise ValueError("mark_count must be at least 2")
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
+        if not 0 < self.dirichlet_alpha < math.inf:
+            raise ValueError(f"dirichlet_alpha must be positive and finite: {self.dirichlet_alpha}")
         if self.warp not in WARP_KINDS:
             raise ValueError(f"warp must be one of {WARP_KINDS}")
-        if self.warp_range[0] <= 0 or self.warp_range[0] > self.warp_range[1]:
-            raise ValueError("warp_range must be positive and ordered")
+        if not 0 < self.warp_range[0] <= self.warp_range[1] < math.inf:
+            raise ValueError(f"warp_range must be positive, finite, ordered: {self.warp_range}")
 
 
 @dataclass

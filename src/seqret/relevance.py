@@ -23,7 +23,9 @@ still yields kernel 1.
 The time distance and the net score kappa + gamma * sim each have one
 taped definition (``time_distance_graph``, ``score_graph``).  The trainer
 builds them on its loss tape; the eval path scores a pair as kappa plus
-``distance_term``, which equals ``score_graph`` on a tape bit for bit.
+its entry of ``distance_terms``, which computes every candidate's
+gamma * sim in one numpy pass per length and equals ``score_graph`` on a
+tape bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "fisher_vectors",
     "fisher_kernel",
     "relevance_score",
-    "distance_term",
+    "distance_terms",
     "fisher_vector_graph",
     "time_distance_graph",
     "score_graph",
@@ -109,6 +111,14 @@ def unit_vector(grad: np.ndarray, label: str = "gradient") -> np.ndarray:
     return grad / norm
 
 
+def _length_groups(seqs: list[EventSequence]) -> dict[int, list[int]]:
+    """Positions of the sequences of each length, in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
+    return groups
+
+
 def fisher_vector(seq: EventSequence, params: ModelParams,
                   conditioning: EventSequence | None = None) -> FisherVector:
     """Unit-norm log-likelihood gradient of one sequence (``fisher_vectors``
@@ -127,11 +137,8 @@ def fisher_vectors(seqs, params: ModelParams,
     entry is None where the gradient vanishes; the others are unaffected.
     """
     seqs = list(seqs)
-    groups: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault(len(seq), []).append(i)
     out: list[np.ndarray | None] = [None] * len(seqs)
-    for members in groups.values():
+    for members in _length_groups(seqs).values():
         grads = mtpp.grad_log_likelihoods([seqs[i] for i in members], params,
                                           conditioning=conditioning)
         for i, grad in zip(members, grads):
@@ -142,15 +149,36 @@ def fisher_vectors(seqs, params: ModelParams,
     return out
 
 
-def distance_term(uq: EventSequence, q: EventSequence, c: EventSequence,
-                  gamma: float) -> float:
-    """Eval-mode gamma * sim of one pair; ``uq`` is the unwarped query.
+def distance_terms(uq: EventSequence, q: EventSequence, candidates,
+                   gamma: float) -> np.ndarray:
+    """Eval-mode gamma * sim of the unwarped query ``uq`` (marks from ``q``)
+    against every candidate, with T the larger of the two horizons.
 
-    T is the larger of the corpus horizon and the unwarped query horizon,
-    which reduces to max of the raw horizons under the identity unwarp.
+    Candidates of one length are stacked, never padded, so numpy sums each
+    row as it sums one vector and every term equals ``score_graph``'s
+    gamma * sim on a tape bit for bit.  An event time past T raises
+    ``time_distance``'s ``ValueError``.
     """
-    T = max(uq.horizon, c.horizon)
-    return -gamma * (time_distance(uq, c, T) + mark_distance(q, c))
+    candidates = list(candidates)
+    nq = len(uq)
+    out = np.empty(len(candidates))
+    for n, members in _length_groups(candidates).items():
+        group = [candidates[i] for i in members]
+        times = np.stack([c.times for c in group])
+        T = np.maximum(uq.horizon, [c.horizon for c in group])
+        if np.any(np.maximum(times.max(axis=1, initial=0.0), uq.times.max(initial=0.0)) > T):
+            for c, t in zip(group, T):  # names the late sequence
+                time_distance(uq, c, float(t))
+        h = min(nq, n)
+        dt = np.sum(np.abs(uq.times[:h] - times[:, :h]), axis=1)
+        if nq > h:
+            dt += np.sum(T[:, None] - uq.times[h:], axis=1)
+        elif n > h:
+            dt += np.sum(T[:, None] - times[:, h:], axis=1)
+        marks = np.stack([c.marks[:h] for c in group])
+        dx = np.sum(marks != q.marks[:h], axis=1) + abs(n - nq)
+        out[members] = -gamma * (dt + dx)
+    return out
 
 
 def relevance_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
@@ -161,7 +189,7 @@ def relevance_score(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,
     cond = uq if params.config.variant == "cross" else None
     vq = fisher_vector(uq, params, conditioning=cond)
     vc = fisher_vector(c, params, conditioning=cond)
-    return float(vq.vector @ vc.vector) + distance_term(uq, q, c, gamma)
+    return float(vq.vector @ vc.vector) + float(distance_terms(uq, q, [c], gamma)[0])
 
 
 def fisher_kernel(q: EventSequence, c: EventSequence, unwarp: UnwarpParams,

@@ -27,7 +27,7 @@ from .hashing import (
     train_hash_net,
 )
 from .mtpp import ModelParams, checkpoint_sha256
-from .relevance import VanishingGradientError, distance_term, fisher_vector, fisher_vectors
+from .relevance import VanishingGradientError, distance_terms, fisher_vector, fisher_vectors
 from .sequences import EventSequence, RelevanceJudgments
 from .unwarp import UnwarpParams, unwarp_sequence
 
@@ -115,45 +115,6 @@ def rank_by_score(scores: dict[str, float]) -> list[tuple[str, float]]:
 # Slack on the kernel bound: a dot product of two unit vectors can exceed 1
 # by a few ulps of rounding.
 KERNEL_BOUND = 1.0 + 1e-9
-# Relative slack on the vectorised gamma * sim: it sums the same
-# non-negative terms as ``distance_term`` in another order, which moves the
-# result by at most about n * 1e-16 of its size.
-BOUND_SLACK = 1e-9
-
-
-def _distance_bounds(uq: EventSequence, query: EventSequence, candidates,
-                     gamma: float) -> np.ndarray:
-    """Upper bounds on ``distance_term(uq, query, c, gamma)`` for every
-    candidate, in one numpy pass over the candidates padded to one width.
-
-    Matched positions cost |uq_i - c_i| and a mark mismatch; unmatched
-    events of either side cost T - t_i and one length-difference unit,
-    with T the larger of the two horizons.
-    """
-    lengths = np.array([len(c) for c in candidates], dtype=np.intp)
-    nq = len(uq)
-    width = max(nq, int(lengths.max(initial=0)))
-    rows = np.repeat(np.arange(len(candidates)), lengths)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    times = np.zeros((len(candidates), width))
-    marks = np.full((len(candidates), width), -1)
-    if rows.size:
-        times[rows, cols] = np.concatenate([c.times for c in candidates])
-        marks[rows, cols] = np.concatenate([c.marks for c in candidates])
-    q_times = np.zeros(width)
-    q_times[:nq] = uq.times
-    q_marks = np.full(width, -1)
-    q_marks[:nq] = query.marks
-    horizon = np.maximum(uq.horizon, [c.horizon for c in candidates])[:, None]
-    in_c = np.arange(width) < lengths[:, None]
-    in_q = np.arange(width) < nq
-    matched = in_c & in_q
-    dt = np.where(matched, np.abs(q_times - times), 0.0)
-    dt += np.where(in_c & ~in_q, horizon - times, 0.0)
-    dt += np.where(in_q & ~in_c, horizon - q_times, 0.0)
-    dx = np.sum(matched & (marks != q_marks), axis=1) + np.abs(lengths - nq)
-    term = -gamma * (np.sum(dt, axis=1) + dx)
-    return term + BOUND_SLACK * (1.0 + np.abs(term))
 
 
 def score_candidates(query: EventSequence, candidates, params: ModelParams,
@@ -167,18 +128,17 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
     ``vector_cache``.  Candidates whose gradient vanishes are skipped with
     a warning rather than scored.
 
-    The kernel is at most 1, so a bound on gamma * sim plus 1 bounds a
-    candidate's score.  One numpy pass bounds every candidate's
-    gamma * sim (``_distance_bounds``); candidates are visited in
-    descending bound (ties toward the smaller id), in chunks of ``k``
-    (``k=None``: all candidates in one chunk, so none is skipped).  A chunk
-    keeps only candidates whose bound reaches the k-th best score so far,
-    and the scan stops at the first chunk left empty.  The gradient vectors
-    of a chunk come from ``fisher_vectors``, one tape per length, with the
-    query's own vector in the first chunk.  A scored candidate's gamma *
-    sim is the exact ``distance_term``, so every returned score is exact,
-    and ``rank_by_score(...)[:k]`` equals that of scoring every candidate.
-    A ``k`` below 1 raises ``ValueError``.
+    The kernel is at most 1, so a candidate's gamma * sim plus 1 bounds its
+    score.  ``distance_terms`` gives every candidate's exact gamma * sim in
+    one pass; candidates are visited in descending term (ties toward the
+    smaller id), in chunks of ``k`` (``k=None``: all candidates in one
+    chunk, so none is skipped).  A chunk keeps only candidates whose bound
+    reaches the k-th best score so far, and the scan stops at the first
+    chunk left empty (the threshold algorithm over exact sorted grades).
+    The gradient vectors of a chunk come from ``fisher_vectors``, one tape
+    per length, with the query's own vector in the first chunk.  A score is
+    kappa plus the candidate's term, so ``rank_by_score(...)[:k]`` equals
+    that of scoring every candidate.  A ``k`` below 1 raises ``ValueError``.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -187,18 +147,18 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
     # only self-variant corpus vectors are independent of the query
     cache = vector_cache if cond is None and vector_cache is not None else {}
     candidates = list(candidates)
-    bounds = _distance_bounds(uq, query, candidates, gamma)
-    order = sorted(range(len(candidates)), key=lambda i: (-bounds[i], candidates[i].id))
-    k = max(1, len(order)) if k is None else k
+    terms = distance_terms(uq, query, candidates, gamma).tolist()
+    ranked = sorted(zip(terms, candidates), key=lambda tc: (-tc[0], tc[1].id))
+    k = max(1, len(ranked)) if k is None else k
     best: list[float] = []  # min-heap of the k best scores so far
     scores: dict[str, float] = {}
     vq = None
-    for start in range(0, max(1, len(order)), k):
-        chunk = [candidates[i] for i in order[start:start + k]
-                 if len(best) < k or bounds[i] + KERNEL_BOUND >= best[0]]
+    for start in range(0, max(1, len(ranked)), k):
+        chunk = [(term, c) for term, c in ranked[start:start + k]
+                 if len(best) < k or term + KERNEL_BOUND >= best[0]]
         if not chunk and vq is not None:
             break
-        todo = [c for c in chunk if c.id not in cache]
+        todo = [c for _, c in chunk if c.id not in cache]
         vectors = fisher_vectors(todo if vq is not None else [uq] + todo, params,
                                  conditioning=cond)
         if vq is None:
@@ -211,11 +171,11 @@ def score_candidates(query: EventSequence, candidates, params: ModelParams,
                 warnings.warn(f"skipping {c.id}: vanishing gradient under the scoring model")
             else:
                 cache[c.id] = vc
-        for c in chunk:
+        for term, c in chunk:
             vc = cache.get(c.id)
             if vc is None:
                 continue
-            scores[c.id] = score = float(vq @ vc) + distance_term(uq, query, c, gamma)
+            scores[c.id] = score = float(vq @ vc) + term
             if len(best) < k:
                 heapq.heappush(best, score)
             else:
@@ -227,20 +187,24 @@ def corpus_fisher_vectors(corpus: dict[str, EventSequence],
                           params: ModelParams) -> tuple[dict[str, np.ndarray], list[str]]:
     """Self-variant gradient vectors for every corpus sequence.
 
-    Returns (vectors, excluded); sequences whose gradient vanishes are
-    excluded from indexing and reported, not silently dropped.  The
-    vectors are rows of one (len(corpus), dim) matrix, so a large corpus
-    holds one allocation instead of one per sequence.
+    Returns (vectors, excluded); sequences without events or whose
+    gradient vanishes are excluded from indexing and reported, not
+    silently dropped.  The vectors are rows of one (len(corpus), dim)
+    matrix, so a large corpus holds one allocation instead of one per
+    sequence.
     """
     vectors: dict[str, np.ndarray] = {}
     excluded: list[str] = []
     matrix = None
     for cid, seq in corpus.items():
         try:
-            vector = fisher_vector(seq, params).vector
+            vector = fisher_vector(seq, params).vector if len(seq) else None
         except VanishingGradientError:
+            vector = None
+        if vector is None:
             excluded.append(cid)
-            warnings.warn(f"excluding {cid} from the index: vanishing gradient")
+            warnings.warn(f"excluding {cid} from the index: "
+                          + ("vanishing gradient" if len(seq) else "no events"))
             continue
         if matrix is None:
             matrix = np.empty((len(corpus), vector.size))

@@ -239,8 +239,9 @@ def split_queries(query_ids, fractions=(0.5, 0.1, 0.4), seed: int = 0) -> Datase
     Counts use floor rounding for train and valid; the remainder goes to
     test, so the three parts always partition the input exactly.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError("fractions must be three non-negative numbers")
+    if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
+        raise ValueError(f"fractions must be three finite non-negative numbers, "
+                         f"got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     ids = sorted(query_ids)

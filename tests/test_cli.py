@@ -174,6 +174,28 @@ class TestIndex:
                     (ws.idx / "index_meta.tsv").read_text().splitlines())
         assert meta["sequences"] == "16" and meta["excluded"] == "-"
 
+    def test_record_without_events_is_excluded(self, ws, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text((ws.data / "corpus.jsonl").read_text()
+                          + json.dumps({"id": "zz-empty", "horizon": 5.0, "events": []}) + "\n")
+        idx = tmp_path / "idx"
+        with pytest.warns(UserWarning, match="zz-empty"):
+            run_cli(["index", "--out", idx, "--corpus", corpus,
+                     "--checkpoint", ws.own / "checkpoint.bin", "--bits", 8, "--hidden", 8,
+                     "--hash-epochs", 4, "--tables", 4, "--bits-per-table", 4])
+        meta = dict(line.split("\t") for line in
+                    (idx / "index_meta.tsv").read_text().splitlines())
+        assert meta["sequences"] == "16" and meta["excluded"] == "zz-empty"
+        out = tmp_path / "q"
+        run_cli(["query", "--out", out, "--queries", ws.data / "queries.jsonl", "--k", 3,
+                 "--exhaustive", "--corpus", corpus,
+                 "--score-checkpoint", ws.cross / "checkpoint.bin",
+                 "--index-checkpoint", ws.own / "checkpoint.bin",
+                 "--encoder", idx / "encoder.bin", "--index", idx / "index.bin"])
+        rows = [line.split("\t") for line in (out / "results.tsv").read_text().splitlines()]
+        assert len({row[0] for row in rows}) == 6
+        assert "zz-empty" not in {row[2] for row in rows}
+
     def test_rejects_cross_checkpoint(self, ws, tmp_path, capsys):
         code = cli.main(["index", "--out", str(tmp_path / "bad"),
                          "--corpus", str(ws.data / "corpus.jsonl"),
@@ -442,10 +464,14 @@ class TestErrorProtocol:
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--unbias-sigma", "nan"), ("train", "--noise-sigma", "nan"),
         ("index", "--hash-lr", "nan"), ("index", "--etas", "nan:0.3:0.3"),
+        ("gen", "--mu", "nan:0.0"), ("gen", "--sigma", "0.3:inf"),
+        ("gen", "--warp-range", "0.5:nan"), ("gen", "--alpha", "nan"),
+        ("train", "--split", "nan:0.5:0.5"),
     ])
     def test_nan_setting_is_one_error_line(self, ws, tmp_path, capsys, command, flag, value):
         out = tmp_path / "o"
         argv = {
+            "gen": ["gen", "--out", out] + GEN_ARGS,
             "train": ["train", "--out", out, "--corpus", ws.data / "corpus.jsonl",
                       "--queries", ws.data / "queries.jsonl",
                       "--judgments", ws.data / "judgments.tsv"] + TRAIN_ARGS,

@@ -12,8 +12,8 @@ from seqret import retrieval as rt
 from seqret.hashing import HashConfig, HashIndex, HashNetParams, HashEncoder, build_index
 from seqret.mtpp import ModelConfig, ModelParams
 from seqret.autodiff import Tape
-from seqret.relevance import (VanishingGradientError, distance_term, fisher_vector,
-                              relevance_score, score_graph)
+from seqret.relevance import (VanishingGradientError, distance_terms, fisher_vector,
+                              mark_distance, relevance_score, score_graph, time_distance)
 from seqret.sequences import EventSequence, RelevanceJudgments
 from seqret.unwarp import UnwarpConfig, UnwarpParams, unwarp_sequence
 
@@ -125,8 +125,10 @@ class TestScoring:
             unwarp = UnwarpParams.init(unwarp.config, rng, scale=0.5)
         query = random_sequence(rng, n=nq, seq_id="q")
         # shorter than, as long as and longer than the query: both tail
-        # branches of time_distance_graph and the branch without a tail
-        candidates = [random_sequence(rng, n=n, seq_id=f"c{n}") for n in (1, nq, nq + 3)]
+        # branches of time_distance_graph and the branch without a tail; two
+        # of the query's length, so that one group stacks two rows
+        candidates = [random_sequence(rng, n=n, seq_id=f"c{i}")
+                      for i, n in enumerate((1, nq, nq, nq + 3))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = rt.score_candidates(query, candidates, score_params, unwarp, gamma=gamma)
@@ -178,14 +180,21 @@ class TestScoring:
         assert set(scores) == {"c00", "c02"}
 
 
-class TestDistanceBounds:
-    """``_distance_bounds`` screens candidates; it must never fall below the
-    exact ``distance_term`` a scored candidate gets."""
+def distance_term(uq, query, c, gamma):
+    """Reference: the per-pair eval-mode gamma * sim that ``distance_terms``
+    replaced, through ``time_distance`` on a throwaway tape."""
+    T = max(uq.horizon, c.horizon)
+    return -gamma * (time_distance(uq, c, T) + mark_distance(query, c))
+
+
+class TestDistanceTerms:
+    """``distance_terms`` stacks the candidates of each length; every term
+    must equal the per-pair ``distance_term`` bit for bit."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.1, 1.0]),
-           nq=st.integers(1, 8), warped=st.booleans())
-    def test_never_below_distance_term(self, seed, gamma, nq, warped):
+           nq=st.integers(1, 130), warped=st.booleans())
+    def test_equals_distance_term(self, seed, gamma, nq, warped):
         rng = np.random.default_rng(seed)
         unwarp = UnwarpParams.identity(UnwarpConfig(hidden=(8, 8), n_quad=16))
         if warped:  # T may then come from the unwarped query horizon
@@ -194,18 +203,34 @@ class TestDistanceBounds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             uq = unwarp_sequence(query, unwarp)
-        lengths = [1, max(1, nq - 1), nq, nq + 1, nq + 4] + list(rng.integers(1, 12, size=4))
+        # shorter, equal and longer; repeated lengths stack several rows
+        lengths = [1, max(1, nq - 1), nq, nq, nq, nq + 1, nq + 4]
+        drawn = rng.integers(1, 131, size=4)
+        lengths += list(drawn) + [int(drawn[0])] * 3
         candidates = [random_sequence(rng, n=int(n), seq_id=f"c{i}")
                       for i, n in enumerate(lengths)]
-        bounds = rt._distance_bounds(uq, query, candidates, gamma)
-        for c, bound in zip(candidates, bounds):
-            exact = distance_term(uq, query, c, gamma)
-            assert bound >= exact, c.id
-            assert bound - exact <= 2e-9 * (1.0 + abs(exact)), c.id
+        terms = distance_terms(uq, query, candidates, gamma)
+        for c, term in zip(candidates, terms):
+            want = distance_term(uq, query, c, gamma)
+            assert term == want and np.signbit(term) == np.signbit(want), c.id
 
     def test_no_candidates(self, rng):
         query = random_sequence(rng, seq_id="q")
-        assert rt._distance_bounds(query, query, [], 0.1).shape == (0,)
+        assert distance_terms(query, query, [], 0.1).shape == (0,)
+
+    def test_candidate_without_events(self, rng):
+        query = random_sequence(rng, seq_id="q")
+        empty = [EventSequence(f"e{i}", [], [], 2.0 + i) for i in range(2)]
+        terms = distance_terms(query, query, empty, 0.1)
+        assert list(terms) == [distance_term(query, query, c, 0.1) for c in empty]
+
+    @pytest.mark.parametrize("late_side", ["candidate", "query"])
+    def test_event_past_T_rejected(self, late_side):
+        ok = EventSequence("ok", [1.0, 2.0], [0, 1], 3.0)
+        late = EventSequence("late", [1.0, 9.0], [0, 1], 5.0)
+        query, candidate = (ok, late) if late_side == "candidate" else (late, ok)
+        with pytest.raises(ValueError, match="late: event time 9.0 exceeds T=5.0"):
+            distance_terms(query, query, [ok, candidate], 0.1)
 
 
 def vanishing_rows(real, ids):

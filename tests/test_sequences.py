@@ -259,3 +259,8 @@ class TestSplit:
             split_queries(["a"], (0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
             split_queries(["a"], (-0.1, 0.6, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fraction_named(self, bad):
+        with pytest.raises(ValueError, match=r"finite non-negative numbers, got \((nan|inf), "):
+            split_queries(["a"], (bad, 0.5, 0.5))
