@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation on a flat tape.
 
 Values wrap float64 numpy arrays and record onto a Tape in construction
-order.  The backward pass walks the tape in reverse construction order,
-visiting each node at most once, and accumulates vector-Jacobian products.
+order.  The backward pass visits nodes in reverse construction order, each
+at most once, accumulates vector-Jacobian products, and ends as soon as
+only leaves have pending adjoints.
 
 Two properties of this tape matter for the rest of the package:
 
@@ -26,14 +27,17 @@ backward reference forward Values that depend on the leaves, so they are
 varied too, and a second backward through them prunes the same way.
 
 ``matmul``, ``matvec``, ``transpose``, ``gather_rows`` and ``scatter_rows``
-work on the last two axes and take leading batch axes, which broadcast:
-one graph then carries B examples, each with its own copy of a parameter
-(leaves of shape (B, ...)), and one backward of the summed outputs gives
-every example's gradient.  numpy computes a stacked product slice by slice
-with the same kernel as the 2-d product, so each example's values are the
-unbatched graph's bit for bit; ``expand`` broadcasts a per-example vector
-over positions with the adjoint of a rank-extending broadcast (a sum, even
-over one position), so signed zeros agree too.
+work on the last two axes and take leading batch axes, which broadcast
+(``concat`` and ``narrow`` work on the last axis): one graph then carries
+B examples, each with its own copy of a parameter (leaves of shape
+(B, ...)), and one backward of the summed outputs gives every example's
+gradient.  numpy computes a stacked product slice by slice with the same
+kernel as the 2-d product, so each example's values are the unbatched
+graph's bit for bit; ``expand`` broadcasts a per-example vector over
+positions with the adjoint of a rank-extending broadcast (a sum, even over
+one position), so signed zeros agree too.  ``tie`` then turns the copies
+into an expand of the shared parameter, so a loss of those gradients
+differentiates back to it.
 
 Shapes are validated eagerly; domain violations (log of a non-positive,
 division by zero) raise ``DomainError`` instead of propagating NaNs.
@@ -71,6 +75,7 @@ __all__ = [
     "flip",
     "reshape",
     "expand",
+    "tie",
     "concat",
     "narrow",
     "gather_rows",
@@ -164,9 +169,11 @@ class Tape:
     def backward(self, output: Value, wrt, as_values: bool = False):
         """Gradients of a scalar ``output`` with respect to ``wrt`` leaves.
 
-        Walks nodes from ``output`` back to the start of the tape, visiting
-        each at most once, and gives adjoints only to parents that reach a
-        leaf.  Adjoints are built from tape primitives, so with
+        Visits nodes in reverse construction order, each at most once, and
+        gives adjoints only to parents that reach a leaf.  The walk ends as
+        soon as every pending adjoint belongs to a leaf, so a backward from
+        the end of a long tape costs the size of its own graph, not of the
+        tape.  Adjoints are built from tape primitives, so with
         ``as_values=True`` the returned gradients are Values that later
         nodes (and later backward calls) can consume; with the default they
         are detached numpy arrays.
@@ -181,34 +188,61 @@ class Tape:
 
         seed = self.constant(np.ones_like(output.data))
         adjoint: dict[int, Value] = {output._idx: seed}
-        leaf_grads: dict[int, Value] = {}
+        inner = 0 if output.is_leaf else 1  # pending adjoints of non-leaves
         nodes = self._nodes
         for idx in range(output._idx, -1, -1):
-            g = adjoint.pop(idx, None)
+            if not inner:
+                break
+            g = adjoint.get(idx)
             if g is None:
                 continue
             node = nodes[idx]
             if node.is_leaf:
-                leaf_grads[idx] = g
                 continue
+            del adjoint[idx]
+            inner -= 1
             for parent, vjp in zip(node._parents, node._vjps):
                 if vjp is None or not parent.varied:
                     continue
                 contrib = vjp(g)
                 prev = adjoint.get(parent._idx)
-                adjoint[parent._idx] = contrib if prev is None else add(prev, contrib)
+                if prev is None:
+                    adjoint[parent._idx] = contrib
+                    inner += not parent.is_leaf
+                else:
+                    adjoint[parent._idx] = add(prev, contrib)
 
         out = {}
         for leaf in wrt:
             if not leaf.is_leaf:
                 raise ValueError(f"wrt entry {leaf!r} is not a leaf")
-            g = leaf_grads.get(leaf._idx)
+            g = adjoint.get(leaf._idx)
             if g is None:
                 g = self.constant(np.zeros_like(leaf.data))
             out[leaf] = g
         if as_values:
             return out
         return {k: v.data for k, v in out.items()}
+
+
+def tie(copies: Value, source: Value) -> None:
+    """Turn the leaf ``copies``, which stacks copies of ``source`` along a
+    new leading axis, into ``expand(source, 0, n)``.
+
+    A batched graph gives each example its own copy of a shared parameter.
+    A backward before the tie stops at the copies and returns every
+    example's own gradient (Goodfellow, arXiv:1510.01799); a backward
+    after it passes the copies' adjoint, summed over the leading axis, on
+    to ``source``, so it can differentiate through those gradients.
+    """
+    if not copies.is_leaf or copies.tape is not source.tape or source._idx > copies._idx:
+        raise ValueError("tie needs a leaf recorded after its source, on the same tape")
+    if copies.data.shape[1:] != source.data.shape:
+        raise ShapeError(f"tie: copies {copies.data.shape} of {source.data.shape}")
+    copies.is_leaf = False
+    copies.op = "expand"
+    copies._parents = (source,)
+    copies._vjps = (lambda g: vsum(g, axis=0),)
 
 
 def _lift(tape: Tape, x) -> Value:
@@ -556,21 +590,22 @@ def reshape(a, shape) -> Value:
 
 
 def concat(parts) -> Value:
-    """Concatenate 1-d Values."""
+    """Concatenate Values along the last axis; leading axes must agree."""
     parts = list(parts)
     tape = _tape_of(*parts)
     parts = [_lift(tape, p) for p in parts]
+    lead = parts[0].data.shape[:-1]
     for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat: need vectors, got {p.data.shape}")
-    sizes = [p.data.shape[0] for p in parts]
+        if p.data.ndim < 1 or p.data.shape[:-1] != lead:
+            raise ShapeError(f"concat: need equal leading axes, got {p.data.shape}")
+    sizes = [p.data.shape[-1] for p in parts]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     def make_vjp(k):
         return lambda g: narrow(g, int(offsets[k]), sizes[k])
 
     return Value(
-        np.concatenate([p.data for p in parts]),
+        np.concatenate([p.data for p in parts], axis=-1),
         tape,
         "concat",
         tuple(parts),
@@ -579,23 +614,23 @@ def concat(parts) -> Value:
 
 
 def narrow(a, start: int, length: int) -> Value:
-    """Contiguous 1-d slice ``a[start:start+length]``."""
+    """Contiguous slice ``a[..., start:start+length]`` of the last axis."""
     tape = _tape_of(a)
     a = _lift(tape, a)
-    if a.data.ndim != 1 or start < 0 or start + length > a.data.shape[0]:
+    if a.data.ndim < 1 or start < 0 or start + length > a.data.shape[-1]:
         raise ShapeError(f"narrow: [{start}:{start + length}] out of {a.data.shape}")
-    n = a.data.shape[0]
+    lead, n = a.data.shape[:-1], a.data.shape[-1]
 
     def vjp(g):
         pieces = []
         if start > 0:
-            pieces.append(a.tape.constant(np.zeros(start)))
+            pieces.append(a.tape.constant(np.zeros(lead + (start,))))
         pieces.append(g)
         if start + length < n:
-            pieces.append(a.tape.constant(np.zeros(n - start - length)))
+            pieces.append(a.tape.constant(np.zeros(lead + (n - start - length,))))
         return concat(pieces) if len(pieces) > 1 else pieces[0]
 
-    return Value(a.data[start : start + length].copy(), tape, "narrow", (a,), (vjp,))
+    return Value(a.data[..., start : start + length].copy(), tape, "narrow", (a,), (vjp,))
 
 
 def gather_rows(m, idx) -> Value:

@@ -74,6 +74,10 @@ class GenConfig:
             raise ValueError(f"warp must be one of {WARP_KINDS}")
         if not 0 < self.warp_range[0] <= self.warp_range[1] < math.inf:
             raise ValueError(f"warp_range must be positive, finite, ordered: {self.warp_range}")
+        for name in ("mu_range", "sigma_range", "warp_range"):
+            lo, hi = getattr(self, name)
+            if not hi - lo < math.inf:  # wider than Generator.uniform can sample
+                raise ValueError(f"{name} is too wide to sample: {lo}:{hi}")
 
 
 @dataclass

@@ -207,15 +207,31 @@ def fisher_vector_graph(tape: ad.Tape, theta: dict[str, ad.Value], config: Model
     The returned Value depends on the model leaves twice (once through
     the likelihood, once through its recorded adjoints), which is what
     lets the ranking loss learn the vectors themselves.
+
+    Batched form: ``times`` and ``marks`` are (B, n) arrays of B sequences
+    of one length, and the result is a (B, P) Value, one unit vector per
+    row.  Each example reads its own copy of every parameter; the inner
+    backward stops at those copies, so each row is the unbatched graph's
+    vector bit for bit, and then ``autodiff.tie`` makes them an expand of
+    the shared leaf, so a later backward sums their adjoints into it.
     """
-    ll = mtpp.log_likelihood_graph(tape, theta, config, times, marks,
+    marks = np.asarray(marks)
+    lead = marks.shape[:-1]
+    own = theta
+    if lead:  # every example's own copy of every parameter
+        own = {name: tape.leaf(np.repeat(v.data[None], lead[0], axis=0), f"{v.op}.copies")
+               for name, v in theta.items()}
+    ll = mtpp.log_likelihood_graph(tape, own, config, times, marks,
                                    cond_times=cond_times, cond_marks=cond_marks)
-    grads = tape.backward(ll, wrt=list(theta.values()), as_values=True)
-    flat = ad.concat([ad.reshape(grads[theta[name]], (-1,))
+    grads = tape.backward(ad.vsum(ll) if lead else ll, wrt=list(own.values()), as_values=True)
+    if lead:
+        for name, copies in own.items():
+            ad.tie(copies, theta[name])
+    flat = ad.concat([ad.reshape(grads[own[name]], lead + (-1,))
                       for name, _ in mtpp.param_order(config)])
-    norm = ad.sqrt(ad.vsum(ad.square(flat)))
-    if norm.data <= NORM_FLOOR:
-        raise VanishingGradientError(f"gradient norm {norm.data:.3e} below {NORM_FLOOR}")
+    norm = ad.sqrt(ad.vsum(ad.square(flat), axis=-1, keepdims=True))
+    if np.any(norm.data <= NORM_FLOOR):
+        raise VanishingGradientError(f"gradient norm {norm.data.min():.3e} below {NORM_FLOOR}")
     return ad.div(flat, norm)
 
 

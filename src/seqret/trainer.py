@@ -139,16 +139,38 @@ def _fold_sum(tape: ad.Tape, values: list[ad.Value]) -> ad.Value:
     return total
 
 
+def _vectors_by_length(tape: ad.Tape, theta: dict[str, ad.Value], config: ModelConfig,
+                       seqs: dict[str, EventSequence], cond_times=None,
+                       cond_marks=None) -> dict[str, ad.Value]:
+    """Unit gradient vector of each sequence, keyed like ``seqs``: one
+    batched ``fisher_vector_graph`` per exact length, one row each."""
+    groups: dict[int, list[str]] = {}
+    for cid, seq in seqs.items():
+        groups.setdefault(len(seq), []).append(cid)
+    out: dict[str, ad.Value] = {}
+    for ids in groups.values():
+        rows = fisher_vector_graph(tape, theta, config,
+                                   np.stack([seqs[cid].times for cid in ids]),
+                                   np.stack([seqs[cid].marks for cid in ids]),
+                                   cond_times=cond_times, cond_marks=cond_marks)
+        for b, cid in enumerate(ids):
+            out[cid] = ad.reshape(ad.gather_rows(rows, [b]), (-1,))
+    return out
+
+
 def epoch_loss(queries: dict[str, EventSequence], corpus: dict[str, EventSequence],
                pairs: dict[str, list[tuple[str, str]]], params: ModelParams,
                unwarp: UnwarpParams, config: TrainConfig,
                noise: dict[str, float] | None = None) -> LossGraph:
     """Ranking hinge plus the unwarp unbiasedness penalty, on one tape.
 
-    Scores are cached per (query, corpus) pair, and gradient vectors per
-    distinct sequence role, so a corpus sequence shared by many pairs is
-    embedded once.  The total is additive over queries; disjoint pair
-    dicts sum to the combined loss exactly.
+    Every distinct sequence role gets one gradient vector, and the corpus
+    roles of one length share one batched vector graph: per query for the
+    cross variant, whose corpus vectors are conditioned on the unwarped
+    query, and once per batch for the self variant.  A query vector is a
+    graph of its own, since its times are unwarp Values.  Scores are
+    cached per (query, corpus) pair.  The total is additive over queries;
+    disjoint pair dicts sum to the combined loss exactly.
     """
     noise = noise or {}
     tape = ad.Tape()
@@ -157,45 +179,32 @@ def epoch_loss(queries: dict[str, EventSequence], corpus: dict[str, EventSequenc
     mcfg = params.config
     ucfg = unwarp.config
     cross = mcfg.variant == "cross"
+    qids = [qid for qid in sorted(pairs) if pairs[qid]]
+    roles = {qid: list(dict.fromkeys(cid for pos, neg in pairs[qid] for cid in (neg, pos)))
+             for qid in qids}
+    if not cross:  # corpus vectors do not depend on the query: one set per batch
+        vectors = _vectors_by_length(tape, theta, mcfg, {
+            cid: corpus[cid] for cid in dict.fromkeys(c for qid in qids for c in roles[qid])})
     hinge_terms: list[ad.Value] = []
     penalties: list[ad.Value] = []
-    self_cache: dict[str, ad.Value] = {}
     n_pairs = 0
-    for qid in sorted(pairs):
-        if not pairs[qid]:
-            continue
+    for qid in qids:
         q = queries[qid]
         if config.unwarp_enabled:
             uq = unwarp_times_graph(q.times, phi, ucfg, tape, noise=noise.get(qid, 0.0))
         else:
             uq = tape.constant(q.times)
+        cond = {"cond_times": uq, "cond_marks": q.marks} if cross else {}
+        vq = fisher_vector_graph(tape, theta, mcfg, uq, q.marks, **cond)
         if cross:
-            vq = fisher_vector_graph(tape, theta, mcfg, uq, q.marks,
-                                     cond_times=uq, cond_marks=q.marks)
-        else:
-            vq = fisher_vector_graph(tape, theta, mcfg, uq, q.marks)
-        scores: dict[str, ad.Value] = {}
-
-        def score(cid: str) -> ad.Value:
-            if cid in scores:
-                return scores[cid]
-            c = corpus[cid]
-            if cross:
-                vc = fisher_vector_graph(tape, theta, mcfg, c.times, c.marks,
-                                         cond_times=uq, cond_marks=q.marks)
-            elif cid in self_cache:
-                vc = self_cache[cid]
-            else:
-                vc = fisher_vector_graph(tape, theta, mcfg, c.times, c.marks)
-                self_cache[cid] = vc
-            s = score_graph(tape, vq, vc, uq, q, c, max(q.horizon, c.horizon), config.gamma)
-            scores[cid] = s
-            return s
-
+            vectors = _vectors_by_length(tape, theta, mcfg,
+                                         {cid: corpus[cid] for cid in roles[qid]}, **cond)
+        scores = {cid: score_graph(tape, vq, vectors[cid], uq, q, corpus[cid],
+                                   max(q.horizon, corpus[cid].horizon), config.gamma)
+                  for cid in roles[qid]}
         for pos, neg in pairs[qid]:
-            term = ad.relu(ad.add(ad.sub(score(neg), score(pos)), config.margin))
-            hinge_terms.append(term)
-            n_pairs += 1
+            hinge_terms.append(ad.relu(ad.add(ad.sub(scores[neg], scores[pos]), config.margin)))
+        n_pairs += len(pairs[qid])
         if config.unwarp_enabled:
             penalties.append(unbiasedness_penalty_graph(phi, ucfg, q.horizon, tape))
     total = _fold_sum(tape, hinge_terms)

@@ -162,6 +162,22 @@ class TestBackwardStructure:
         gboth = run(2.0, 3.0)
         np.testing.assert_allclose(gboth, 2.0 * ga + 3.0 * gb, rtol=1e-12)
 
+    def test_backward_after_unrelated_graph_keeps_bits(self, rng):
+        x0, y0, z0 = rng.normal(size=3), rng.normal(size=(3, 3)), rng.normal(size=3)
+
+        def run(unrelated):
+            tape = ad.Tape()
+            x = tape.leaf(x0)
+            if unrelated:  # a graph of its own leaf, differentiated once
+                z = tape.leaf(z0)
+                tape.backward(ad.vsum(ad.exp(ad.mul(z, z))), wrt=[z], as_values=True)
+            y = tape.leaf(y0)
+            out = ad.vsum(ad.tanh(ad.matvec(y, ad.mul(x, ad.softmax(x)))))
+            g = tape.backward(out, wrt=[x, y])
+            return g[x].tobytes() + g[y].tobytes()
+
+        assert run(True) == run(False)
+
     def test_grad_is_value_on_same_tape(self):
         tape, x = leafy([2.0])
         y = ad.vsum(ad.square(x))
@@ -385,3 +401,37 @@ class TestTapedBackward:
         analytic = tape.backward(s, wrt=[leaf])[leaf]
         numeric = fd_gradient(lambda x: outer(x)[2].item(), x0, h=1e-6)
         assert_grad_close(analytic, numeric, rel=5e-4)
+
+    def test_tied_copies_give_per_example_and_summed_gradients(self, rng):
+        """Per-example gradients from copies of shared leaves, then FD of a
+        loss of those gradients through ``tie`` back to the shared leaves."""
+        w0, u0 = rng.normal(size=2), rng.normal(size=3)
+        x = rng.normal(size=(4, 5))
+        c = rng.normal(size=(4, 5))
+
+        def outer(flat):
+            tape = ad.Tape()
+            shared = [tape.leaf(flat[:2]), tape.leaf(flat[2:])]
+            copies = [tape.leaf(np.repeat(v.data[None], 4, axis=0)) for v in shared]
+            f = ad.add(ad.vsum(ad.exp(ad.mul(copies[0], x[:, :2])), axis=-1),
+                       ad.square(ad.vsum(ad.mul(copies[1], x[:, 2:]), axis=-1)))
+            g = tape.backward(ad.vsum(f), wrt=copies, as_values=True)
+            for copy, leaf in zip(copies, shared):
+                ad.tie(copy, leaf)
+            flat_g = ad.concat([g[copies[0]], g[copies[1]]])
+            return tape, shared, flat_g, ad.vsum(ad.mul(ad.square(flat_g), c))
+
+        tape, shared, flat_g, loss = outer(np.concatenate([w0, u0]))
+        per_example = np.concatenate([np.exp(w0 * x[:, :2]) * x[:, :2],
+                                      2 * (x[:, 2:] @ u0)[:, None] * x[:, 2:]], axis=1)
+        np.testing.assert_allclose(flat_g.data, per_example, rtol=1e-12)
+        g = tape.backward(loss, wrt=shared)
+        numeric = fd_gradient(lambda v: outer(v)[3].item(), np.concatenate([w0, u0]))
+        assert_grad_close(np.concatenate([g[shared[0]], g[shared[1]]]), numeric)
+
+    def test_tie_needs_a_leaf_after_its_source(self):
+        tape = ad.Tape()
+        copies = tape.leaf(np.zeros((2, 3)))
+        source = tape.leaf(np.zeros(3))
+        with pytest.raises(ValueError):
+            ad.tie(copies, source)

@@ -484,6 +484,14 @@ class TestErrorProtocol:
         assert err.startswith("error\tValueError\t") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_range_too_wide_to_sample_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["gen", "--out", str(out), "--bases", "2", "--mu=-1e308:1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error\tValueError\t") and len(err.splitlines()) == 1
+        assert "mu_range is too wide" in err
+        assert not out.exists()
+
     def test_invalid_value(self, tmp_path, capsys):
         code = cli.main(["gen", "--out", str(tmp_path / "o"), "--bases", "0"])
         assert code == 1
